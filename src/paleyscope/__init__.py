@@ -28,6 +28,7 @@ from .maximal import (
     fefferman_stein_check,
     maximal_space,
     maximal_time,
+    sharp_bound_ratio,
     sharp_function,
     verify_sharp_bound,
 )
@@ -45,11 +46,11 @@ from .spde import (
 from .spectral import (
     Field,
     KernelMultiplier,
+    Propagator,
     SpaceGrid,
     SpaceTimeField,
     aliasing_budget,
     apply_multiplier,
-    convolve_slice,
     cumulative_symbol_integrals,
     dump_field,
     fractional_multiplier,
@@ -90,8 +91,8 @@ __all__ = [
     "check_levy_cancellation",
     "SpaceGrid", "Field", "SpaceTimeField", "KernelMultiplier",
     "to_frequency", "to_space", "apply_multiplier", "fractional_multiplier",
-    "kernel_hat", "synthesize_kernel", "convolve_slice",
-    "cumulative_symbol_integrals", "dump_field",
+    "kernel_hat", "synthesize_kernel",
+    "cumulative_symbol_integrals", "Propagator", "dump_field",
     "load_field", "aliasing_budget", "warn_if_underresolved",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",
     "lp_space_time_norm", "lp_ratio", "elliptic_square_function",
@@ -102,7 +103,7 @@ __all__ = [
     "synthesize_envelopes", "MomentReport", "moment_integral",
     "assumption1_profile", "verify_assumption1",
     "ParabolicCylinder", "maximal_space", "maximal_time", "sharp_function",
-    "verify_sharp_bound", "fefferman_stein_check",
+    "verify_sharp_bound", "sharp_bound_ratio", "fefferman_stein_check",
     "NoiseSpec", "MomentEstimate", "PathEnsemble",
     "sample_brownian_increments", "stochastic_convolution",
     "ito_isometry_check", "moment_bound_check", "simulate_ensemble",

@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral import Field, to_space
+from .squarefn import _gl8_nodes
 
 __all__ = [
     "as_fraction",
@@ -359,13 +360,8 @@ def moment_integral(F, mu, cutoffs=None, tol=1e-6):
                         rel_change=float(rel), tol=tol)
 
 
-def _gl8():
-    x, w = np.polynomial.legendre.leggauss(8)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _integral_on_edges(gfun, edges):
-    x0, w0 = _gl8()
+    x0, w0 = _gl8_nodes()
     widths = np.diff(edges)
     nodes = edges[:-1, None] + widths[:, None] * x0[None, :]
     vals = gfun(nodes.ravel()).reshape(nodes.shape)

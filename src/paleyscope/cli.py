@@ -37,7 +37,7 @@ from .assumptions import (
     verify_assumption1,
 )
 from .corpus import DEFAULT_SEED, make_corpus
-from .maximal import fefferman_stein_check, verify_sharp_bound
+from .maximal import fefferman_stein_check, sharp_bound_ratio
 from .spde import (
     NoiseSpec,
     gaussianity_diagnostic,
@@ -143,6 +143,23 @@ def build_symbol(block):
     raise ConfigError(f"unknown symbol family {family!r}")
 
 
+def _number(kind, value, what):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _block(doc, name, kinds, defaults):
+    """The object ``doc[name]`` over ``defaults``, its ``kinds`` keys converted."""
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name!r} must be a JSON object")
+    out = {**defaults, **block}
+    return {k: _number(kinds[k], v, f"{name}.{k}") if k in kinds else v
+            for k, v in out.items()}
+
+
 def load_config(path):
     """Parse and validate an experiment JSON file."""
     try:
@@ -157,37 +174,39 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     sym = build_symbol(doc["symbol"]) if "symbol" in doc else None
-    gblock = doc.get("grid", {})
+    gblock = _block(doc, "grid", {"d": int, "n": int, "L": float, "nt": int,
+                                  "t_window": float},
+                    {"d": 1, "n": 128, "L": 20.0, "nt": 128, "t_window": 1.0})
     try:
-        grid = SpaceGrid(d=int(gblock.get("d", 1)), n=int(gblock.get("n", 128)),
-                         L=float(gblock.get("L", 20.0)))
+        grid = SpaceGrid(d=gblock["d"], n=gblock["n"], L=gblock["L"])
     except ValueError as e:
         raise ConfigError(f"invalid grid block: {e}") from None
-    nt = int(gblock.get("nt", 128))
-    t_window = float(gblock.get("t_window", 1.0))
-    if nt < 2 or t_window <= 0:
-        raise ConfigError("grid block needs nt >= 2 and t_window > 0")
-    p_list = tuple(float(p) for p in doc.get("p_list", [2.0]))
+    nt, t_window = gblock["nt"], gblock["t_window"]
+    if nt < 2 or not (t_window > 0 and math.isfinite(t_window)):
+        raise ConfigError("grid block needs nt >= 2 and finite t_window > 0")
+    p_raw = doc.get("p_list", [2.0])
+    if not isinstance(p_raw, list):
+        raise ConfigError("p_list must be a list")
+    p_list = tuple(_number(float, p, "p_list entry") for p in p_raw)
     if any(p < 1 for p in p_list):
         raise ConfigError("p_list entries must be >= 1")
-    corpus = dict(doc.get("corpus", {}))
-    corpus.setdefault("count", 20)
-    corpus.setdefault("seed", DEFAULT_SEED)
-    mc = dict(doc.get("mc", {}))
-    mc.setdefault("M", 4096)
-    mc.setdefault("K", 3)
-    mc.setdefault("seed", 777)
-    kernel = dict(doc.get("kernel", {}))
-    nu = float(doc.get("nu", getattr(sym, "nu", getattr(sym, "N0", 0.5)) if sym else 0.5))
+    corpus = _block(doc, "corpus", {"count": int, "seed": int},
+                    {"count": 20, "seed": DEFAULT_SEED})
+    mc = _block(doc, "mc", {"M": int, "K": int, "seed": int, "entry": int},
+                {"M": 4096, "K": 3, "seed": 777})
+    if mc["M"] < 2 or min(mc["seed"], corpus["seed"]) < 0:
+        raise ConfigError("mc.M must be at least 2 and seeds nonnegative")
+    kernel = _block(doc, "kernel", {"s": float, "t": float, "eta": float},
+                    {"s": 0.0, "t": 0.1, "eta": 0.0})
+    nu = doc.get("nu", getattr(sym, "nu", getattr(sym, "N0", 0.5)) if sym else 0.5)
     eta = doc.get("eta")
-    if eta is None and sym is not None:
-        eta = sym.order / 2.0
-    tolerances = dict(doc.get("tolerances", {}))
-    tolerances.setdefault("isometry", 0.05)
-    tolerances.setdefault("kurtosis", 0.15)
+    if eta is None:
+        eta = sym.order / 2.0 if sym is not None else 0.0
+    tolerances = _block(doc, "tolerances", {"isometry": float, "kurtosis": float},
+                        {"isometry": 0.05, "kurtosis": 0.15})
     return ExperimentConfig(symbol=sym, grid=grid, nt=nt, t_window=t_window,
                             corpus=corpus, p_list=p_list, mc=mc, kernel=kernel,
-                            eta=float(eta) if eta is not None else 0.0, nu=nu,
+                            eta=_number(float, eta, "eta"), nu=_number(float, nu, "nu"),
                             tolerances=tolerances,
                             sha256=hashlib.sha256(raw).hexdigest())
 
@@ -263,14 +282,19 @@ def _gamma_or_m(sym):
     return sym.gamma
 
 
+def _suite_symbol(cfg, suite):
+    """The config's symbol, once the grid's aliasing budget at one step is checked."""
+    if cfg.symbol is None:
+        raise ConfigError(f"{suite} suite requires a symbol block")
+    dt = cfg.t_window / (cfg.nt - 1)
+    warn_if_underresolved(cfg.grid, cfg.nu, cfg.symbol.order, dt)
+    return cfg.symbol
+
+
 def _suite_assumptions(cfg, out_dir):
-    sym = cfg.symbol
-    if sym is None:
-        raise ConfigError("assumptions suite requires a symbol block")
+    sym = _suite_symbol(cfg, "assumptions")
     d = _symbol_dim(sym, cfg.grid)
     gamma = sym.order
-    dt = cfg.t_window / (cfg.nt - 1)
-    warn_if_underresolved(cfg.grid, cfg.nu, gamma, dt)
     ke = theorem_exponents(Fraction(gamma).limit_denominator(10 ** 9), d)
     xi = _xi_samples(d)
     c0 = verify_assumption1(sym, cfg.eta, xi)
@@ -309,14 +333,10 @@ def _suite_assumptions(cfg, out_dir):
 
 
 def _suite_lp_ratio(cfg, out_dir, threads):
-    sym = cfg.symbol
-    if sym is None:
-        raise ConfigError("lp-ratio suite requires a symbol block")
+    sym = _suite_symbol(cfg, "lp-ratio")
     grid = cfg.grid
-    dt = cfg.t_window / (cfg.nt - 1)
-    warn_if_underresolved(grid, cfg.nu, sym.order, dt)
-    fields = make_corpus(grid, cfg.nt, count=int(cfg.corpus["count"]),
-                         t_window=cfg.t_window, seed=int(cfg.corpus["seed"]))
+    fields = make_corpus(grid, cfg.nt, count=cfg.corpus["count"],
+                         t_window=cfg.t_window, seed=cfg.corpus["seed"])
     c0 = verify_assumption1(sym, cfg.eta, _xi_samples(grid.d))
     bound = math.sqrt(c0) + 1e-3
 
@@ -343,23 +363,16 @@ def _suite_lp_ratio(cfg, out_dir, threads):
 
 
 def _suite_sharp_bound(cfg, out_dir, threads):
-    sym = cfg.symbol
-    if sym is None:
-        raise ConfigError("sharp-bound suite requires a symbol block")
+    sym = _suite_symbol(cfg, "sharp-bound")
     grid = cfg.grid
-    dt = cfg.t_window / (cfg.nt - 1)
-    warn_if_underresolved(grid, cfg.nu, sym.order, dt)
-    count = int(cfg.corpus.get("count", 20))
-    fields = make_corpus(grid, cfg.nt, count=count, t_window=cfg.t_window,
-                         seed=int(cfg.corpus["seed"]))
+    fields = make_corpus(grid, cfg.nt, count=cfg.corpus["count"],
+                         t_window=cfg.t_window, seed=cfg.corpus["seed"])
     delta0 = 1.0 / sym.order
     p_fs = cfg.p_list[0] if cfg.p_list and cfg.p_list[0] > 1 else 2.0
 
     def one(f):
-        ratio = verify_sharp_bound(sym, cfg.eta, f)
         G = square_function(sym, cfg.eta, f)
-        fs = fefferman_stein_check(G, p_fs, delta0)
-        return ratio, fs
+        return sharp_bound_ratio(G, f, delta0), fefferman_stein_check(G, p_fs, delta0)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(one, fields))
@@ -376,34 +389,29 @@ def _suite_sharp_bound(cfg, out_dir, threads):
 
 
 def _suite_spde(cfg, out_dir):
-    sym = cfg.symbol
-    if sym is None:
-        raise ConfigError("spde suite requires a symbol block")
+    sym = _suite_symbol(cfg, "spde")
     grid = cfg.grid
-    K = int(cfg.mc["K"])
-    M = int(cfg.mc["M"])
-    dt = cfg.t_window / (cfg.nt - 1)
-    warn_if_underresolved(grid, cfg.nu, sym.order, dt)
-    entry = int(cfg.mc.get("entry", 1))
+    K, M, seed = cfg.mc["K"], cfg.mc["M"], cfg.mc["seed"]
+    entry = cfg.mc.get("entry", 1)
     fields = make_corpus(grid, cfg.nt, count=entry + 1, t_window=cfg.t_window,
-                         seed=int(cfg.corpus["seed"]))
+                         seed=cfg.corpus["seed"])
     f = fields[entry]
     if f.k_h != K:
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
-    spec = NoiseSpec(K=K, seed=int(cfg.mc["seed"]), dt=f.dt, nt=cfg.nt)
+    spec = NoiseSpec(K=K, seed=seed, dt=f.dt, nt=cfg.nt)
     iso = ito_isometry_check(sym, f, spec, M)
     ens = simulate_ensemble(sym, f, spec, M)
     kurt = gaussianity_diagnostic(ens)
     checks = {
-        "isometry": iso.value < float(cfg.tolerances["isometry"]),
-        "kurtosis": abs(kurt) < float(cfg.tolerances["kurtosis"]),
+        "isometry": iso.value < cfg.tolerances["isometry"],
+        "kurtosis": abs(kurt) < cfg.tolerances["kurtosis"],
     }
     payload = {
         "config_sha256": cfg.sha256,
         "suite": "spde",
         "M": M,
         "K": K,
-        "seed": int(cfg.mc["seed"]),
+        "seed": seed,
         "isometry_rel_error": format(iso.value, ".17g"),
         "isometry_std_error": format(iso.std_error, ".17g"),
         "excess_kurtosis": format(kurt, ".17g"),
@@ -453,9 +461,7 @@ def _suite_kernel_dump(cfg, out_dir):
     sym = cfg.symbol
     if sym is None:
         raise ConfigError("kernel-dump suite requires a symbol block")
-    s = float(cfg.kernel.get("s", 0.0))
-    t = float(cfg.kernel.get("t", 0.1))
-    eta = float(cfg.kernel.get("eta", 0.0))
+    s, t, eta = cfg.kernel["s"], cfg.kernel["t"], cfg.kernel["eta"]
     if t < s:
         raise ConfigError("kernel block requires s <= t")
     warn_if_underresolved(cfg.grid, cfg.nu, sym.order, max(t - s, 1e-12))

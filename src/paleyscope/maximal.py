@@ -32,6 +32,7 @@ __all__ = [
     "maximal_time",
     "sharp_function",
     "verify_sharp_bound",
+    "sharp_bound_ratio",
     "fefferman_stein_check",
 ]
 
@@ -225,13 +226,18 @@ def _cylinder_means(arr, grid, kt, ks):
 
 
 def _dilate(arr, grid, kt, ks):
-    """Pointwise sup over cylinder centers whose cylinder contains the point."""
+    """Pointwise sup over cylinder centers whose cylinder contains the point.
+
+    kt cells of -inf appended to the time axis stop the ``wrap`` mode from
+    wrapping time; the d = 2 ball admits no per-axis mode list.
+    """
     if kt == 0 and ks == 0:
         return arr
     box = np.broadcast_to(_ball_mask(grid.d, ks)[None],
                           (2 * kt + 1,) + (2 * ks + 1,) * grid.d)
-    modes = ["constant"] + ["wrap"] * grid.d
-    return maximum_filter(arr, footprint=box, mode=modes, cval=-np.inf)
+    pad = np.full((kt,) + arr.shape[1:], -np.inf)
+    padded = np.concatenate([arr, pad], axis=0)
+    return maximum_filter(padded, footprint=box, mode="wrap")[:arr.shape[0]]
 
 
 def _sharp_core(arr, grid, dt, delta0, r_ladder, metric):
@@ -300,17 +306,18 @@ def verify_sharp_bound(sym, eta, f, delta0=None, r_ladder=None,
     if delta0 is None:
         delta0 = 1.0 / sym.order
     G = square_function(sym, eta, f)
+    return sharp_bound_ratio(G, f, delta0, r_ladder, space_radii, time_radii,
+                             metric)
+
+
+def sharp_bound_ratio(G, f, delta0, r_ladder=None, space_radii=None,
+                      time_radii=None, metric="l2"):
+    """The ratio of :func:`verify_sharp_bound` for a precomputed G = G f."""
     sharp = _sharp_core(G.values, f.grid, f.dt, delta0, r_ladder, metric)
-    density = np.sum(np.abs(f.values) ** 2, axis=1)
-    mx = np.empty_like(density)
-    for i in range(density.shape[0]):
-        mx[i] = maximal_space(Field(f.grid, density[i][None], domain="space"),
-                              radii_cells=space_radii).values[0].real
-    ladder = time_radii if time_radii is not None else None
-    w = np.full_like(mx, -np.inf)
-    rr = sorted(set(int(k) for k in ladder)) if ladder is not None else range(mx.shape[0])
-    for k in rr:
-        np.maximum(w, _time_window_means(mx, k), out=w)
+    # the time slices of |f|_H^2 ride through maximal_space as channels
+    density = Field(f.grid, np.sum(np.abs(f.values) ** 2, axis=1))
+    mx = maximal_space(density, radii_cells=space_radii)
+    w = maximal_time(mx, radii=time_radii).values
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
     return float(np.max(ratio))

@@ -9,8 +9,9 @@ deterministic integrands sampled at grid times.  Increments come from a
 counter-based generator keyed on (seed, path), so every path is reproducible
 in isolation and ensembles parallelize without shared state.
 
-All convolutions happen on the frequency side: with I[j] the cumulative
-symbol integrals, the solution mode amplitudes are
+All convolutions happen on the frequency side through the
+:class:`~paleyscope.spectral.Propagator` of the forcing: with I[j] the
+cumulative symbol integrals, the solution mode amplitudes are
 
     u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j.
 """
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpaceTimeField,
-    cumulative_symbol_integrals,
-    fractional_multiplier,
-    to_frequency,
-)
+from .spectral import Propagator, SpaceTimeField, fractional_multiplier
 from .squarefn import DegenerateFieldError, lp_space_time_norm, square_function
 
 __all__ = [
@@ -110,14 +106,13 @@ def _check_compatible(f, spec):
         raise ValueError("field and noise specify different time steps")
 
 
-def _solution_modes(fhat, integrals, dW):
-    """u_hat per output time from transformed slices and one increment table."""
-    nt = fhat.shape[0]
-    z = np.einsum("jk...,kj->j...", fhat, dW)
-    uhat = np.zeros((nt,) + fhat.shape[2:], dtype=complex)
+def _solution_modes(prop, dW):
+    """u_hat per output time from the propagated forcing and one increment table."""
+    nt = prop.fhat.shape[0]
+    z = np.einsum("jk...,kj->j...", prop.fhat, dW)
+    uhat = np.zeros((nt,) + prop.fhat.shape[2:], dtype=complex)
     for i in range(1, nt):
-        decay = np.exp(integrals[i][None] - integrals[:i])
-        uhat[i] = np.sum(decay * z[:i], axis=0)
+        uhat[i] = np.sum(prop.decay(i, i) * z[:i], axis=0)
     return uhat
 
 
@@ -128,30 +123,22 @@ def stochastic_convolution(sym, f, spec, path):
     u(t_0) = 0 and u(t_i) depend only on increments with j < i.
     """
     _check_compatible(f, spec)
-    g = f.grid
-    fhat = to_frequency(f).values
-    integrals = cumulative_symbol_integrals(sym, g, f.t0, f.dt, f.nt)
-    dW = sample_brownian_increments(spec, path)
-    uhat = _solution_modes(fhat, integrals, dW)
-    axes = tuple(range(-g.d, 0))
-    u = np.fft.ifftn(g.phase() * uhat, axes=axes) / g.h ** g.d
-    return SpaceTimeField(grid=g, t0=f.t0, dt=f.dt, values=u[:, None],
-                          domain="space")
+    prop = Propagator(sym, f)
+    uhat = _solution_modes(prop, sample_brownian_increments(spec, path))
+    return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
+                          values=prop.to_space(uhat)[:, None], domain="space")
 
 
-def _point_coefficients(sym, f, t_index):
+def _convolved_slices(prop, t_index):
     """Frequency-side convolved slices (p(t*, s_j) * f^k(s_j)) for j < t*.
 
-    Slices at j >= t_index stay zero; exponentials are only formed for
-    nonpositive real parts, so elliptic decay cannot overflow.
+    Shape ``(nt, K) + grid.shape``; slices at j >= t_index stay zero.
+    Exponentials are only formed for nonpositive real parts, so elliptic
+    decay cannot overflow.
     """
-    g = f.grid
-    fhat = to_frequency(f).values                      # (nt, K) + shape
-    integrals = cumulative_symbol_integrals(sym, g, f.t0, f.dt, f.nt)
-    conv_hat = np.zeros_like(fhat)
-    decay = np.exp(integrals[t_index][None] - integrals[:t_index])
-    conv_hat[:t_index] = decay[:, None] * fhat[:t_index]
-    return conv_hat, integrals
+    conv_hat = np.zeros_like(prop.fhat)
+    conv_hat[:t_index] = prop.decay(t_index, t_index)[:, None] * prop.fhat[:t_index]
+    return conv_hat
 
 
 def _evaluate_at_point(grid, freq_values, x_index):
@@ -190,7 +177,7 @@ def ito_isometry_check(sym, f, spec, M, t_index=None, x_index=None,
         t_index = f.nt - 1
     if x_index is None:
         x_index = _default_point(f.grid)
-    conv_hat, _ = _point_coefficients(sym, f, t_index)
+    conv_hat = _convolved_slices(Propagator(sym, f), t_index)
     coeff = _evaluate_at_point(f.grid, conv_hat, x_index).T.copy()  # (K, nt)
     exact = float(np.sum(np.abs(coeff) ** 2) * spec.dt)
     if exact == 0.0:
@@ -222,16 +209,12 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     norm_f = lp_space_time_norm(f, p)
     if norm_f == 0.0:
         return MomentEstimate(value=0.0, std_error=0.0, M=M, majorant=0.0)
-    fhat = to_frequency(f).values
-    integrals = cumulative_symbol_integrals(sym, g, f.t0, f.dt, f.nt)
+    prop = Propagator(sym, f)
     riesz = fractional_multiplier(g, eta)
-    axes = tuple(range(-g.d, 0))
     norms = np.empty(M)
     for m in range(M):
         dW = sample_brownian_increments(spec, base_path + m)
-        uhat = _solution_modes(fhat, integrals, dW)
-        du = np.fft.ifftn(g.phase() * (riesz * uhat), axes=axes) / g.h ** g.d
-        mag = np.abs(du)
+        mag = np.abs(prop.to_space(riesz * _solution_modes(prop, dW)))
         norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p
@@ -252,20 +235,14 @@ def simulate_ensemble(sym, f, spec, M, t_indices=None, base_path=0):
         t_indices = (f.nt - 1,)
     t_indices = tuple(int(i) for i in t_indices)
     g = f.grid
-    fhat = to_frequency(f).values
-    integrals = cumulative_symbol_integrals(sym, g, f.t0, f.dt, f.nt)
-    axes = tuple(range(-g.d, 0))
-    coeffs = []
-    for i in t_indices:
-        a = np.zeros_like(fhat)                        # (nt, K) + shape
-        decay = np.exp(integrals[i][None] - integrals[:i])
-        a[:i] = decay[:, None] * fhat[:i]
-        coeffs.append(np.moveaxis(a, 1, 0))            # (K, nt) + shape
+    prop = Propagator(sym, f)
+    coeffs = [np.moveaxis(_convolved_slices(prop, i), 1, 0)  # (K, nt) + shape
+              for i in t_indices]
     dw = _increment_block(spec, M, base_path)
     values = np.empty((M, len(t_indices)) + g.shape, dtype=complex)
     for slot, a in enumerate(coeffs):
         uhat = np.tensordot(dw, a, axes=([1, 2], [0, 1]))
-        values[:, slot] = np.fft.ifftn(g.phase() * uhat, axes=axes) / g.h ** g.d
+        values[:, slot] = prop.to_space(uhat)
     return PathEnsemble(spec=spec, grid=g, t0=f.t0, t_indices=t_indices,
                         base_path=base_path, values=values)
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .symbols import _piece_overlaps
+
 __all__ = [
     "SpaceGrid",
     "Field",
@@ -36,16 +38,13 @@ __all__ = [
     "fractional_multiplier",
     "kernel_hat",
     "synthesize_kernel",
-    "convolve_slice",
     "cumulative_symbol_integrals",
+    "Propagator",
     "dump_field",
     "load_field",
     "aliasing_budget",
     "warn_if_underresolved",
 ]
-
-_ALLOW_D3 = False  # d=3 grids are untested at scale; flip only for experiments
-
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -60,7 +59,7 @@ class SpaceGrid:
     L: float
 
     def __post_init__(self):
-        if self.d not in (1, 2) and not (self.d == 3 and _ALLOW_D3):
+        if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two, at least 8")
@@ -102,7 +101,7 @@ class SpaceGrid:
         return out
 
 
-def _check_values(grid, values, channels_expected=True):
+def _check_values(grid, values):
     values = np.asarray(values)
     want = grid.shape
     if values.ndim < grid.d + 1 or values.shape[-grid.d:] != want:
@@ -200,13 +199,16 @@ def to_frequency(f):
     return replace(f, values=fhat, domain="freq")
 
 
+def _inverse(grid, values):
+    """Inverse transform of a frequency-side array over its last d axes."""
+    return np.fft.ifftn(grid.phase() * values, axes=_fft_axes(grid.d)) / grid.h ** grid.d
+
+
 def to_space(f):
     """Inverse transform; accepts Field or SpaceTimeField in frequency domain."""
     if f.domain != "freq":
         raise ValueError("to_space expects a frequency-domain field")
-    g = f.grid
-    vals = np.fft.ifftn(g.phase() * np.asarray(f.values, dtype=complex),
-                        axes=_fft_axes(g.d)) / g.h ** g.d
+    vals = _inverse(f.grid, np.asarray(f.values, dtype=complex))
     return replace(f, values=vals, domain="space")
 
 
@@ -264,13 +266,6 @@ def synthesize_kernel(kmult):
     return to_space(fhat)
 
 
-def convolve_slice(multiplier, f):
-    """Convolve one spatial slice with a tabulated kernel multiplier."""
-    if multiplier.grid != f.grid:
-        raise ValueError("kernel and field grids do not match")
-    return apply_multiplier(f, multiplier.values)
-
-
 def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
     """I[j] = int_{t0}^{t0 + j dt} psi(r, xi) dr on the grid, shape (nt,) + grid.shape.
 
@@ -284,11 +279,32 @@ def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
     breaks, pieces = sym.piecewise_values(xi)
     out = np.zeros((nt,) + grid.shape, dtype=complex)
     times = t0 + dt * np.arange(nt)
-    from .symbols import _piece_overlaps
     w = _piece_overlaps(breaks, t0, times)      # (P, nt)
     for j in range(1, nt):
         out[j] = np.einsum("p,p...->...", w[:, j], pieces)
     return out
+
+
+class Propagator:
+    """The evolution of ``sym`` applied to the slices of a space-time field.
+
+    Holds the transformed slices ``fhat``, shape ``(nt, K_H) + grid.shape``,
+    and the cumulative symbol integrals ``integrals`` (I) on the field's time
+    grid: slice j reaches time t_i through the multiplier exp(I[i] - I[j]).
+    """
+
+    def __init__(self, sym, f):
+        self.grid = f.grid
+        self.fhat = to_frequency(f).values
+        self.integrals = cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
+
+    def decay(self, i, stop):
+        """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``."""
+        return np.exp(self.integrals[i][None] - self.integrals[:stop])
+
+    def to_space(self, values):
+        """Inverse transform of a frequency-side array over its grid axes."""
+        return _inverse(self.grid, values)
 
 
 _HEADER = struct.Struct("<4sIIId")  # magic, d, n, K_H, L; padded to 32 bytes

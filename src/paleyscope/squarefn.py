@@ -20,9 +20,9 @@ import numpy as np
 
 from .spectral import (
     Field,
+    Propagator,
     SpaceGrid,
     SpaceTimeField,
-    cumulative_symbol_integrals,
     fractional_multiplier,
     to_frequency,
     to_space,
@@ -99,7 +99,8 @@ def square_function(sym, eta, f):
 
     Notes
     -----
-    All work happens on the frequency side: with fhat the transformed
+    All work happens on the frequency side through a
+    :class:`~paleyscope.spectral.Propagator`: with fhat the transformed
     slices and I[j] the cumulative symbol integrals, the convolved slice at
     (t_i, s_j) has multiplier |xi|^eta exp(I[i] - I[j]), so one inverse
     transform per (i, j) pair yields the integrand.  The trapezoid weights
@@ -108,20 +109,14 @@ def square_function(sym, eta, f):
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    if f.domain != "space":
-        raise ValueError("square_function expects a space-domain field")
     g = f.grid
     nt = f.nt
-    fhat = to_frequency(f).values                      # (nt, K_H) + shape
+    prop = Propagator(sym, f)
     riesz = fractional_multiplier(g, eta)
-    integrals = cumulative_symbol_integrals(sym, g, f.t0, f.dt, nt)
     out = np.zeros((nt,) + g.shape)
-    axes = tuple(range(-g.d, 0))
     for i in range(1, nt):
-        decay = np.exp(integrals[i][None, ...] - integrals[: i + 1])
-        mult = riesz[None, ...] * decay                # (i+1,) + shape
-        amp = np.fft.ifftn(g.phase() * (mult[:, None, ...] * fhat[: i + 1]),
-                           axes=axes) / g.h ** g.d
+        mult = riesz[None, ...] * prop.decay(i, i + 1)  # (i+1,) + shape
+        amp = prop.to_space(mult[:, None, ...] * prop.fhat[: i + 1])
         w = np.full(i + 1, f.dt)
         w[0] *= 0.5
         w[-1] *= 0.5

@@ -58,6 +58,21 @@ class TestConfig:
              "nu": 0.5})
         assert ps.eval_symbol(sym, 0.0, 1.0) == pytest.approx(-1.0 - 0.3j)
 
+    @pytest.mark.parametrize("block", [
+        {"grid": {"nt": "abc"}},
+        {"corpus": {"count": "x"}},
+        {"mc": {"M": 1}},
+        {"corpus": {"seed": -1}},
+    ])
+    def test_bad_values_are_usage_errors(self, tmp_path, capsys, block):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "fractional", "gamma": 2.0}, **block}))
+        rc = main(["spde", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["lp-ratio", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path)])
@@ -91,6 +106,16 @@ class TestSuites:
         for row in rows[1:]:
             assert np.isfinite(float(row[4]))
             assert np.isfinite(float(row[5]))
+
+    def test_sharp_bound_in_two_dimensions(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "fractional", "gamma": 2.0},
+             "grid": {"d": 2, "n": 16, "nt": 16}, "corpus": {"count": 1}}))
+        rc = main(["sharp-bound", "--config", str(path), "--out", str(tmp_path)])
+        assert rc in (0, 1)
+        with open(tmp_path / "sharp-bound.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 2
 
     def test_assumptions_artifact_and_alias(self, tmp_path, cli_config):
         rc = main(["verify-assumptions", "--config", str(cli_config),

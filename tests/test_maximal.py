@@ -106,6 +106,23 @@ class TestSharpFunction:
         l2 = ps.sharp_function(g, 0.5, metric="l2")
         assert np.all(l1.values <= l2.values + 1e-12)
 
+    @pytest.mark.parametrize("kt,ks", [(0, 1), (1, 0), (2, 1), (3, 2), (7, 4)])
+    def test_dilation_matches_neighbour_enumeration_in_2d(self, kt, ks):
+        # every point takes the max over the cylinders around it: time
+        # offsets clipped to the window, space offsets in the periodic ball
+        from paleyscope.maximal import _ball_mask, _dilate
+
+        grid = ps.SpaceGrid(d=2, n=8, L=20.0)
+        arr = np.random.default_rng(11).standard_normal((8, 8, 8))
+        offsets = np.argwhere(_ball_mask(2, ks)) - ks
+        want = np.full_like(arr, -np.inf)
+        for t, x, y in np.ndindex(*arr.shape):
+            for s in range(max(t - kt, 0), min(t + kt, 7) + 1):
+                for dx, dy in offsets:
+                    want[t, x, y] = max(want[t, x, y],
+                                        arr[s, (x + dx) % 8, (y + dy) % 8])
+        np.testing.assert_array_equal(_dilate(arr, grid, kt, ks), want)
+
     def test_cylinder_metadata(self):
         cyl = ps.ParabolicCylinder(s=1.0, y=(0.0,), R=0.25, delta0=0.5)
         lo, hi = cyl.time_interval
@@ -125,6 +142,13 @@ class TestSupRatio:
         f = ps.corpus_entry(grid, 32, 0)
         val = ps.verify_sharp_bound(heat, 1.0, f)
         assert np.isfinite(val) and val > 0.0
+
+    def test_precomputed_square_function_gives_the_same_ratio(self, biharm):
+        grid = ps.SpaceGrid(d=1, n=32, L=20.0)
+        f = ps.corpus_entry(grid, 16, 2)
+        G = ps.square_function(biharm, 1.0, f)
+        assert ps.sharp_bound_ratio(G, f, 1.0 / biharm.order) == \
+            ps.verify_sharp_bound(biharm, 1.0, f)
 
     def test_anisotropy_defaults_to_inverse_order(self, levy):
         grid = ps.SpaceGrid(d=1, n=64, L=20.0)

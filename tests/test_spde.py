@@ -86,6 +86,18 @@ class TestSolution:
             ens.values[0, 1], solo.values[31, 0], atol=1e-12)
 
 
+    def test_ensemble_matches_path_by_path_convolution(self, grid, forcing,
+                                                      spec):
+        sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
+                                  nu=0.5)
+        ens = ps.simulate_ensemble(sym, forcing, spec, M=3,
+                                   t_indices=(5, 17, 31), base_path=2)
+        for m in range(3):
+            u = ps.stochastic_convolution(sym, forcing, spec, path=2 + m)
+            np.testing.assert_allclose(ens.values[m], u.values[[5, 17, 31], 0],
+                                       rtol=1e-12)
+
+
 class TestSecondMoment:
     def test_matches_geometric_sum_oracle(self, grid, heat):
         # single mode: E|u(t_i, x)|^2 = sum_{j<i} exp(-2 xi0^2 (t_i-t_j)) dt

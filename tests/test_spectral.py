@@ -105,15 +105,6 @@ class TestMultipliers:
         assert km.values.shape == (64,)
         assert km.values[0] == 0.0  # positive eta kills the zero mode
 
-    def test_convolve_slice_matches_apply_multiplier(self, grid):
-        rng = np.random.default_rng(6)
-        f = ps.Field(grid=grid, values=rng.standard_normal((1, 64)) + 0j)
-        sym = ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)
-        km = ps.kernel_hat(sym, 0.0, 0.2, 0.0, grid)
-        a = ps.convolve_slice(km, f)
-        b = ps.apply_multiplier(f, km)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-14)
-
 
 class TestKernelSynthesis:
     def test_heat_kernel_mass_and_positivity(self):

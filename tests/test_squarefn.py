@@ -21,6 +21,33 @@ def _single_mode(grid, nt, t_window, mode=4):
 
 
 class TestSquareFunction:
+    @pytest.mark.parametrize("sym", [
+        ps.PolyFormSymbol(m=2, coeffs={((2,), (2,)): ([0.0, 0.5], [1.0, 2.0])},
+                          nu=0.5),
+        ps.LevySymbol(k=0, gamma=0.5, d=1,
+                      density=([0.0, 0.5], [[1.0, 1.0], [0.5, 0.5]])),
+    ], ids=["biharmonic", "levy"])
+    def test_matches_slice_by_slice_kernel_oracle(self, sym):
+        # G f(t_i)^2 = sum_j w_j |K(t_i, s_j) * f(s_j)|^2 with every kernel
+        # tabulated from its own time integral; the step 0.11 puts the
+        # symbol's breakpoint 0.5 inside a step
+        grid = ps.SpaceGrid(d=1, n=16, L=20.0)
+        rng = np.random.default_rng(3)
+        vals = rng.standard_normal((9, 2, 16)) + 1j * rng.standard_normal((9, 2, 16))
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.11, values=vals)
+        eta = sym.order / 2
+        t = f.times()
+        want = np.zeros((9, 16))
+        for i in range(1, 9):
+            w = np.full(i + 1, f.dt)
+            w[[0, -1]] *= 0.5
+            for j in range(i + 1):
+                km = ps.kernel_hat(sym, t[j], t[i], eta, grid)
+                amp = ps.apply_multiplier(ps.Field(grid, vals[j]), km).values
+                want[i] += w[j] * np.sum(np.abs(amp) ** 2, axis=0)
+        got = ps.square_function(sym, eta, f).values
+        np.testing.assert_allclose(got, np.sqrt(want), rtol=1e-12)
+
     def test_first_slice_is_zero(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
         g = ps.square_function(heat, 1.0, f)
