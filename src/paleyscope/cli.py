@@ -46,12 +46,13 @@ from .spde import (
 )
 from .spectral import (
     SpaceGrid,
+    _atomic_write,
     dump_field,
     kernel_hat,
     synthesize_kernel,
     warn_if_underresolved,
 )
-from .squarefn import lp_ratio, square_function
+from .squarefn import lp_space_time_norm, square_function
 from .symbols import (
     FractionalSymbol,
     LevySymbol,
@@ -193,9 +194,11 @@ def load_config(path):
     corpus = _block(doc, "corpus", {"count": int, "seed": int},
                     {"count": 20, "seed": DEFAULT_SEED})
     mc = _block(doc, "mc", {"M": int, "K": int, "seed": int, "entry": int},
-                {"M": 4096, "K": 3, "seed": 777})
+                {"M": 4096, "K": 3, "seed": 777, "entry": 1})
     if mc["M"] < 2 or min(mc["seed"], corpus["seed"]) < 0:
         raise ConfigError("mc.M must be at least 2 and seeds nonnegative")
+    if corpus["count"] < 1 or mc["entry"] < 0:
+        raise ConfigError("corpus.count must be at least 1 and mc.entry nonnegative")
     kernel = _block(doc, "kernel", {"s": float, "t": float, "eta": float},
                     {"s": 0.0, "t": 0.1, "eta": 0.0})
     nu = doc.get("nu", getattr(sym, "nu", getattr(sym, "N0", 0.5)) if sym else 0.5)
@@ -217,14 +220,6 @@ def _fmt(x):
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _atomic_write(path, data):
-    tmp = path + ".tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def emit_csv(path, header, rows):
@@ -341,7 +336,9 @@ def _suite_lp_ratio(cfg, out_dir, threads):
     bound = math.sqrt(c0) + 1e-3
 
     def one(f):
-        return [lp_ratio(sym, cfg.eta, f, p) for p in cfg.p_list]
+        G = square_function(sym, cfg.eta, f)
+        return [(p, lp_space_time_norm(G, p) / lp_space_time_norm(f, p))
+                for p in cfg.p_list]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(one, fields))
@@ -349,12 +346,12 @@ def _suite_lp_ratio(cfg, out_dir, threads):
     ok = True
     family = sym.family
     gm = _gamma_or_m(sym)
-    for reports in results:
-        for rep in reports:
-            is_p2 = rep.p == 2.0
-            passed = rep.ratio <= bound if is_p2 else True
+    for ratios in results:
+        for p, ratio in ratios:
+            is_p2 = p == 2.0
+            passed = ratio <= bound if is_p2 else True
             ok = ok and passed
-            rows.append([family, gm, rep.p, rep.n, rep.nt, rep.ratio,
+            rows.append([family, gm, p, grid.n, cfg.nt, ratio,
                          bound if is_p2 else "", passed])
     emit_csv(os.path.join(out_dir, "lp-ratio.csv"),
              ["family", "gamma_or_m", "p", "n", "nt", "ratio", "C0_bound", "pass"],
@@ -392,15 +389,15 @@ def _suite_spde(cfg, out_dir):
     sym = _suite_symbol(cfg, "spde")
     grid = cfg.grid
     K, M, seed = cfg.mc["K"], cfg.mc["M"], cfg.mc["seed"]
-    entry = cfg.mc.get("entry", 1)
+    entry = cfg.mc["entry"]
     fields = make_corpus(grid, cfg.nt, count=entry + 1, t_window=cfg.t_window,
                          seed=cfg.corpus["seed"])
     f = fields[entry]
     if f.k_h != K:
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
     spec = NoiseSpec(K=K, seed=seed, dt=f.dt, nt=cfg.nt)
-    iso = ito_isometry_check(sym, f, spec, M)
     ens = simulate_ensemble(sym, f, spec, M)
+    iso = ito_isometry_check(sym, f, ens)
     kurt = gaussianity_diagnostic(ens)
     checks = {
         "isometry": iso.value < cfg.tolerances["isometry"],

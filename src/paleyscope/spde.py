@@ -13,7 +13,9 @@ All convolutions happen on the frequency side through the
 :class:`~paleyscope.spectral.Propagator` of the forcing: with I[j] the
 cumulative symbol integrals, the solution mode amplitudes are
 
-    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j.
+    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j,
+
+evaluated by one contraction for a whole block of paths at a time.
 """
 
 from __future__ import annotations
@@ -106,29 +108,6 @@ def _check_compatible(f, spec):
         raise ValueError("field and noise specify different time steps")
 
 
-def _solution_modes(prop, dW):
-    """u_hat per output time from the propagated forcing and one increment table."""
-    nt = prop.fhat.shape[0]
-    z = np.einsum("jk...,kj->j...", prop.fhat, dW)
-    uhat = np.zeros((nt,) + prop.fhat.shape[2:], dtype=complex)
-    for i in range(1, nt):
-        uhat[i] = np.sum(prop.decay(i, i) * z[:i], axis=0)
-    return uhat
-
-
-def stochastic_convolution(sym, f, spec, path):
-    """One solution path as a single-channel SpaceTimeField.
-
-    ``f`` holds the K deterministic forcing channels; causality makes
-    u(t_0) = 0 and u(t_i) depend only on increments with j < i.
-    """
-    _check_compatible(f, spec)
-    prop = Propagator(sym, f)
-    uhat = _solution_modes(prop, sample_brownian_increments(spec, path))
-    return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
-                          values=prop.to_space(uhat)[:, None], domain="space")
-
-
 def _convolved_slices(prop, t_index):
     """Frequency-side convolved slices (p(t*, s_j) * f^k(s_j)) for j < t*.
 
@@ -141,14 +120,14 @@ def _convolved_slices(prop, t_index):
     return conv_hat
 
 
-def _evaluate_at_point(grid, freq_values, x_index):
-    """Inverse transform of frequency-side values at one grid point."""
-    x = grid.x_axis()
-    xi = grid.xi_grid()
-    point = np.array([x[i] for i in x_index])
-    wave = np.exp(1j * np.tensordot(xi, point, axes=([-1], [0])))
-    flat = freq_values.reshape(freq_values.shape[:-grid.d] + (-1,))
-    return flat @ wave.ravel() / grid.L ** grid.d
+def _contract(prop, dw, t_index):
+    """u_hat(t_i)[m] = sum_{k, j < i} dW[m, k, j] exp(I[i] - I[j]) fhat[j, k].
+
+    The one place where decay factors, forcing and increments meet.  The
+    whole ``(M, K, nt)`` block is contracted against the zero-padded slices,
+    so no slice of the block is copied.  Returns shape ``(M,) + grid.shape``.
+    """
+    return np.tensordot(dw, _convolved_slices(prop, t_index), axes=([1, 2], [1, 0]))
 
 
 def _default_point(grid):
@@ -163,32 +142,61 @@ def _increment_block(spec, M, base_path=0):
     return out
 
 
-def ito_isometry_check(sym, f, spec, M, t_index=None, x_index=None,
-                       base_path=0):
-    """Relative error of the MC second moment against the exact discrete sum.
+def simulate_ensemble(sym, f, spec, M, t_indices=None, base_path=0):
+    """Solution fields for M paths at the requested observation times.
 
-    At the observation point, E|u|^2 equals sum_{k, j < i*} |c_kj|^2 dt
-    exactly for the left-point scheme, so the returned value is a pure MC
-    convergence measurement: |mean - exact| / exact, with the standard error
-    of the mean (also relative to the exact value) alongside.
+    The increments of all paths are drawn once, so each observation time
+    costs one contraction of the block and one inverse transform.
     """
     _check_compatible(f, spec)
-    if t_index is None:
-        t_index = f.nt - 1
-    if x_index is None:
-        x_index = _default_point(f.grid)
-    conv_hat = _convolved_slices(Propagator(sym, f), t_index)
-    coeff = _evaluate_at_point(f.grid, conv_hat, x_index).T.copy()  # (K, nt)
-    exact = float(np.sum(np.abs(coeff) ** 2) * spec.dt)
+    if t_indices is None:
+        t_indices = (f.nt - 1,)
+    t_indices = tuple(int(i) for i in t_indices)
+    g = f.grid
+    prop = Propagator(sym, f)
+    dw = _increment_block(spec, M, base_path)
+    values = np.empty((M, len(t_indices)) + g.shape, dtype=complex)
+    for slot, i in enumerate(t_indices):
+        values[:, slot] = prop.to_space(_contract(prop, dw, i))
+    return PathEnsemble(spec=spec, grid=g, t0=f.t0, t_indices=t_indices,
+                        base_path=base_path, values=values)
+
+
+def stochastic_convolution(sym, f, spec, path):
+    """One solution path as a single-channel SpaceTimeField.
+
+    ``f`` holds the K deterministic forcing channels; causality makes
+    u(t_0) = 0 and u(t_i) depend only on increments with j < i.
+    """
+    ens = simulate_ensemble(sym, f, spec, 1, t_indices=range(f.nt), base_path=path)
+    return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
+                          values=ens.values[0][:, None], domain="space")
+
+
+def ito_isometry_check(sym, f, ensemble, t_slot=0, x_index=None):
+    """Relative error of the MC second moment against the exact discrete sum.
+
+    Reads the samples of ``ensemble`` (from ``simulate_ensemble(sym, f, ...)``)
+    at slot ``t_slot`` and point ``x_index``.  E|u|^2 there equals
+    sum_{k, j < i*} |c_kj|^2 dt exactly for the left-point scheme, so the
+    value is a pure MC convergence measurement: |mean - exact| / exact, with
+    the standard error of the mean (also relative to exact) alongside.
+    """
+    _check_compatible(f, ensemble.spec)
+    if ensemble.grid != f.grid:
+        raise ValueError("ensemble and field live on different grids")
+    x_index = tuple(_default_point(f.grid) if x_index is None else x_index)
+    prop = Propagator(sym, f)
+    conv_hat = _convolved_slices(prop, ensemble.t_indices[t_slot])
+    coeff = prop.to_space(conv_hat)[(slice(None), slice(None)) + x_index]
+    exact = float(np.sum(np.abs(coeff) ** 2) * f.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")
-    dw = _increment_block(spec, M, base_path)
-    samples = np.einsum("mkj,kj->m", dw, coeff)
-    sq = np.abs(samples) ** 2
+    sq = np.abs(ensemble.values[(slice(None), t_slot) + x_index]) ** 2
     mc = float(np.mean(sq))
-    std_err = float(np.std(sq, ddof=1) / np.sqrt(M))
+    std_err = float(np.std(sq, ddof=1) / np.sqrt(ensemble.M))
     return MomentEstimate(value=abs(mc - exact) / exact,
-                          std_error=std_err / exact, M=M)
+                          std_error=std_err / exact, M=ensemble.M)
 
 
 def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
@@ -197,7 +205,8 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     ``value`` is E ||D^eta u||_p^p / || |f| ||_p^p with eta the requested
     derivative order (applied as the Riesz multiplier |xi|^eta); ``majorant``
     reports the deterministic square-function pathway (||G f||_p/||f||_p)^p
-    with the same eta.
+    with the same eta.  All M paths are advanced together, one time step at
+    a time, from a single increment block.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -211,40 +220,18 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
         return MomentEstimate(value=0.0, std_error=0.0, M=M, majorant=0.0)
     prop = Propagator(sym, f)
     riesz = fractional_multiplier(g, eta)
-    norms = np.empty(M)
-    for m in range(M):
-        dW = sample_brownian_increments(spec, base_path + m)
-        mag = np.abs(prop.to_space(riesz * _solution_modes(prop, dW)))
-        norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
+    dw = _increment_block(spec, M, base_path)
+    sums = np.zeros(M)
+    for i in range(1, f.nt):
+        mag = np.abs(prop.to_space(riesz * _contract(prop, dw, i)))
+        sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
+    norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p
     G = square_function(sym, eta, f)
     majorant = (lp_space_time_norm(G, p) / norm_f) ** p
     return MomentEstimate(value=value, std_error=std_err, M=M,
                           majorant=float(majorant))
-
-
-def simulate_ensemble(sym, f, spec, M, t_indices=None, base_path=0):
-    """Solution fields for M paths at the requested observation times.
-
-    The per-time mode coefficients are precomputed once, so each path costs
-    one tensor contraction and one inverse transform per observation.
-    """
-    _check_compatible(f, spec)
-    if t_indices is None:
-        t_indices = (f.nt - 1,)
-    t_indices = tuple(int(i) for i in t_indices)
-    g = f.grid
-    prop = Propagator(sym, f)
-    coeffs = [np.moveaxis(_convolved_slices(prop, i), 1, 0)  # (K, nt) + shape
-              for i in t_indices]
-    dw = _increment_block(spec, M, base_path)
-    values = np.empty((M, len(t_indices)) + g.shape, dtype=complex)
-    for slot, a in enumerate(coeffs):
-        uhat = np.tensordot(dw, a, axes=([1, 2], [0, 1]))
-        values[:, slot] = prop.to_space(uhat)
-    return PathEnsemble(spec=spec, grid=g, t0=f.t0, t_indices=t_indices,
-                        base_path=base_path, values=values)
 
 
 def gaussianity_diagnostic(ensemble, t_slot=0, x_index=None):

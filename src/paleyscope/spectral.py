@@ -19,6 +19,7 @@ synthesized exactly from the piecewise-constant symbols of
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -312,22 +313,32 @@ _MAGIC = b"PLSF"
 _HEADER_LEN = 32
 
 
+def _atomic_write(path, data):
+    """Write str or bytes to ``path`` via a uniquely named temp file beside it."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb" if isinstance(data, bytes) else "x")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def dump_field(f, path):
     """Write a space-domain Field as PLSF: 32-byte header + complex64 payload.
 
     Header fields are little-endian: magic ``PLSF``, uint32 d, n, K_H, then
     float64 L, zero-padded to 32 bytes.  The payload is the channel-outermost
-    row-major array cast to complex64.
+    row-major array cast to complex64.  The file is written atomically.
     """
     if f.domain != "space":
         raise ValueError("dump_field writes space-domain fields only")
     g = f.grid
     header = _HEADER.pack(_MAGIC, g.d, g.n, f.k_h, g.L)
     header += b"\x00" * (_HEADER_LEN - len(header))
-    payload = np.ascontiguousarray(f.values.astype(np.complex64))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
+    _atomic_write(path, header + f.values.astype(np.complex64).tobytes())
 
 
 def load_field(path):

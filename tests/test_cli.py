@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope import cli
 from paleyscope.cli import ConfigError, build_symbol, load_config, main
 
 
@@ -63,6 +64,8 @@ class TestConfig:
         {"corpus": {"count": "x"}},
         {"mc": {"M": 1}},
         {"corpus": {"seed": -1}},
+        {"corpus": {"count": 0}},
+        {"mc": {"entry": -1}},
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, block):
         path = tmp_path / "bad.json"
@@ -94,6 +97,41 @@ class TestSuites:
         p2 = [r for r in body if r[2] == "2"]
         assert all(r[7] == "true" for r in p2)
         assert all(float(r[5]) <= float(r[6]) for r in p2)
+
+    def test_lp_ratio_computes_g_once_per_entry(self, tmp_path, cli_config,
+                                                monkeypatch):
+        real = ps.squarefn.square_function
+        seen = []
+
+        def counting(sym, eta, f):
+            seen.append(id(f))
+            return real(sym, eta, f)
+
+        monkeypatch.setattr("paleyscope.squarefn.square_function", counting)
+        monkeypatch.setattr("paleyscope.cli.square_function", counting)
+        rc = main(["lp-ratio", "--config", str(cli_config),
+                   "--out", str(tmp_path), "--threads", "1"])
+        assert rc == 0
+        # four corpus entries, two p values, one G each
+        assert len(seen) == 4 and len(set(seen)) == 4
+
+    def test_stale_temp_directory_does_not_block_the_report(self, tmp_path,
+                                                           cli_config):
+        stale = tmp_path / "lp-ratio.csv.tmp"
+        stale.mkdir()
+        rc = main(["lp-ratio", "--config", str(cli_config),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "lp-ratio.csv").is_file() and stale.is_dir()
+        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == [stale]
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "r.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(target), "\udc80")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
 
     def test_sharp_bound_artifact(self, tmp_path, cli_config):
         rc = main(["sharp-bound", "--config", str(cli_config),

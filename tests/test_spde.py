@@ -86,16 +86,27 @@ class TestSolution:
             ens.values[0, 1], solo.values[31, 0], atol=1e-12)
 
 
-    def test_ensemble_matches_path_by_path_convolution(self, grid, forcing,
-                                                      spec):
+    def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid,
+                                                          forcing, spec):
+        # u(t_i) = sum_{j<i} sum_k (K(t_i, s_j) * f^k(s_j)) dW_kj with every
+        # kernel tabulated from its own time integral; the symbol's
+        # breakpoint 0.5 falls inside a step
         sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
                                   nu=0.5)
+        t_indices = (5, 17, 31)
         ens = ps.simulate_ensemble(sym, forcing, spec, M=3,
-                                   t_indices=(5, 17, 31), base_path=2)
-        for m in range(3):
-            u = ps.stochastic_convolution(sym, forcing, spec, path=2 + m)
-            np.testing.assert_allclose(ens.values[m], u.values[[5, 17, 31], 0],
-                                       rtol=1e-12)
+                                   t_indices=t_indices, base_path=2)
+        dw = np.stack([ps.sample_brownian_increments(spec, 2 + m)
+                       for m in range(3)])
+        t = forcing.times()
+        for slot, i in enumerate(t_indices):
+            want = np.zeros((3,) + grid.shape, dtype=complex)
+            for j in range(i):
+                km = ps.kernel_hat(sym, t[j], t[i], 0.0, grid)
+                amp = ps.apply_multiplier(ps.Field(grid, forcing.values[j]),
+                                          km).values
+                want += np.einsum("mk,kx->mx", dw[:, :, j], amp)
+            np.testing.assert_allclose(ens.values[:, slot], want, rtol=1e-12)
 
 
 class TestSecondMoment:
@@ -114,7 +125,8 @@ class TestSecondMoment:
     def test_isometry_check_is_tight(self, grid, heat):
         f, _ = _single_mode(grid, 32)
         spec = ps.NoiseSpec(K=1, seed=777, dt=f.dt, nt=32)
-        est = ps.ito_isometry_check(heat, f, spec, M=2048)
+        ens = ps.simulate_ensemble(heat, f, spec, M=2048)
+        est = ps.ito_isometry_check(heat, f, ens)
         assert est.value < 0.1
         assert est.M == 2048
         assert est.std_error > 0.0
@@ -124,10 +136,47 @@ class TestSecondMoment:
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
         spec = ps.NoiseSpec(K=1, seed=1, dt=0.05, nt=16)
         with pytest.raises(ps.DegenerateFieldError):
-            ps.ito_isometry_check(heat, f, spec, M=16)
+            ps.ito_isometry_check(heat, f, ps.simulate_ensemble(heat, f, spec, M=16))
+
+    def test_foreign_ensemble_rejected(self, grid, heat, forcing, spec):
+        ens = ps.simulate_ensemble(heat, forcing, spec, M=4)
+        shorter = ps.corpus_entry(grid, 16, 1)
+        with pytest.raises(ValueError, match="step"):
+            ps.ito_isometry_check(heat, shorter, ens)
+        coarser = ps.corpus_entry(ps.SpaceGrid(d=1, n=32, L=20.0), 32, 1)
+        with pytest.raises(ValueError, match="grid"):
+            ps.ito_isometry_check(heat, coarser, ens)
+
+
+def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
+    """Reference route: every path convolved on its own, O(nt^2) per path."""
+    g = f.grid
+    prop = ps.Propagator(sym, f)
+    riesz = ps.fractional_multiplier(g, eta)
+    norms = np.empty(M)
+    for m in range(M):
+        dW = ps.sample_brownian_increments(spec, base_path + m)
+        z = np.einsum("jk...,kj->j...", prop.fhat, dW)
+        uhat = np.zeros((f.nt,) + g.shape, dtype=complex)
+        for i in range(1, f.nt):
+            uhat[i] = np.sum(prop.decay(i, i) * z[:i], axis=0)
+        mag = np.abs(prop.to_space(riesz * uhat))
+        norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
+    scale = ps.lp_space_time_norm(f, p) ** p
+    return np.mean(norms) / scale, np.std(norms, ddof=1) / np.sqrt(M) / scale
 
 
 class TestHigherMoments:
+    def test_matches_path_by_path_reference(self, forcing, spec):
+        sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
+                                  nu=0.5)
+        est = ps.moment_bound_check(sym, forcing, spec, M=6, p=4.0,
+                                    derivative_order=1.0, base_path=3)
+        value, std_error = _moment_path_by_path(sym, forcing, spec, 6, 4.0,
+                                                1.0, base_path=3)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
     def test_zero_forcing_is_trivially_bounded(self, grid, heat):
         vals = np.zeros((16, 1, 64), dtype=complex)
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
