@@ -397,7 +397,7 @@ def _suite_spde(cfg, out_dir):
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
     spec = NoiseSpec(K=K, seed=seed, dt=f.dt, nt=cfg.nt)
     ens = simulate_ensemble(sym, f, spec, M)
-    iso = ito_isometry_check(sym, f, ens)
+    iso = ito_isometry_check(ens)
     kurt = gaussianity_diagnostic(ens)
     checks = {
         "isometry": iso.value < cfg.tolerances["isometry"],
@@ -418,31 +418,31 @@ def _suite_spde(cfg, out_dir):
     return all(checks.values())
 
 
-def _parse_gammas(raw_list):
+def _flag_values(raw_list, kind, what):
+    """Values of a repeatable, comma-separated flag, each parsed by ``kind``."""
     out = []
     for item in raw_list:
         for tok in str(item).split(","):
             tok = tok.strip()
             if tok:
                 try:
-                    out.append(Fraction(tok))
+                    out.append(kind(tok))
                 except (ValueError, ZeroDivisionError):
-                    raise ConfigError(f"cannot parse gamma value {tok!r}") from None
+                    raise ConfigError(f"cannot parse {what} value {tok!r}") from None
     return out
 
 
 def _suite_exponents(args, cfg, out_dir):
-    gammas = _parse_gammas(args.gamma) if args.gamma else [Fraction(2)]
-    dims = []
-    for item in args.dim if args.dim else ["1"]:
-        for tok in str(item).split(","):
-            if tok.strip():
-                dims.append(int(tok))
+    gammas = _flag_values(args.gamma or ["2"], Fraction, "gamma")
+    dims = _flag_values(args.dim or ["1"], int, "dim")
     tables = []
     ok = True
     for d in dims:
         for gamma in gammas:
-            ke = theorem_exponents(gamma, d)
+            try:
+                ke = theorem_exponents(gamma, d)
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
             ok = ok and ke.is_valid
             entry = _exponent_payload(ke)
             entry["gamma"] = str(gamma)

@@ -77,35 +77,54 @@ def _ball_mask(d, k):
     return sum(m ** 2 for m in mesh) <= k * k
 
 
-def _wrap_window_means_1d(arr, k):
-    """Periodic centered window means of width 2k+1 along the last axis."""
-    n = arr.shape[-1]
-    if k == 0:
-        return arr.copy()
-    reps = int(np.ceil(k / n))
-    pad_l = np.concatenate([arr] * reps, axis=-1)[..., -k:]
-    pad_r = np.concatenate([arr] * reps, axis=-1)[..., :k]
-    padded = np.concatenate([pad_l, arr, pad_r], axis=-1)
-    c = np.cumsum(padded, axis=-1, dtype=float)
-    c = np.concatenate([np.zeros(arr.shape[:-1] + (1,)), c], axis=-1)
-    return (c[..., 2 * k + 1:] - c[..., :n]) / (2 * k + 1)
+def _window_means(arr, ks, axis, wrap=False, clipped=False):
+    """Centered window means of width 2k+1 along ``axis``, one per k in ``ks``.
+
+    One prefix-sum table, padded by max(ks) cells of periodic copies
+    (``wrap``, tiled, so k may exceed the axis length) or of zeros, serves
+    the whole ladder.  Sums divide by 2k + 1, or with ``clipped`` by the
+    number of cells inside the data.  k = 0 yields ``arr`` itself.
+    """
+    kmax = max(ks, default=0)
+    a = np.moveaxis(arr, axis, 0)
+    n = a.shape[0]
+    width = [(kmax, kmax)] + [(0, 0)] * (a.ndim - 1)
+    c = np.cumsum(np.pad(a, width, mode="wrap" if wrap else "constant"),
+                  axis=0, dtype=float)
+    c = np.concatenate([np.zeros((1,) + a.shape[1:]), c])
+    i = np.arange(n).reshape((n,) + (1,) * (a.ndim - 1))
+    for k in ks:
+        if k == 0:
+            yield arr
+            continue
+        sums = c[kmax + k + 1: kmax + k + 1 + n] - c[kmax - k: kmax - k + n]
+        size = (np.minimum(i + k, n - 1) - np.maximum(i - k, 0) + 1 if clipped
+                else 2 * k + 1)
+        yield np.moveaxis(sums / size, 0, axis)
 
 
-def _wrap_ball_means_nd(arr, k, d):
-    """Periodic ball means over the last d axes via circular convolution."""
-    if k == 0:
-        return arr.copy()
+def _wrap_ball_means_nd(arr, ks, d):
+    """Periodic ball means over the last d axes, one per radius in ``ks``.
+
+    At d = 1 the balls are windows; above, every radius is a circular
+    convolution against one forward FFT of ``arr``.
+    """
     if d == 1:
-        return _wrap_window_means_1d(arr, k)
+        yield from _window_means(arr, ks, axis=-1, wrap=True)
+        return
     shape = arr.shape[-d:]
-    mask = _ball_mask(d, k)
-    kernel = np.zeros(shape)
-    idx = np.meshgrid(*[np.arange(-k, k + 1) % s for s in shape], indexing="ij")
-    np.add.at(kernel, tuple(ix[mask] for ix in idx), 1.0)
     axes = tuple(range(-d, 0))
-    khat = np.fft.fftn(kernel, axes=axes)
-    out = np.fft.ifftn(np.fft.fftn(arr, axes=axes) * khat, axes=axes).real
-    return out / mask.sum()
+    arr_hat = np.fft.fftn(arr, axes=axes) if any(ks) else None
+    for k in ks:
+        if k == 0:
+            yield arr
+            continue
+        mask = _ball_mask(d, k)
+        kernel = np.zeros(shape)
+        idx = np.meshgrid(*[np.arange(-k, k + 1) % s for s in shape], indexing="ij")
+        np.add.at(kernel, tuple(ix[mask] for ix in idx), 1.0)
+        khat = np.fft.fftn(kernel, axes=axes)
+        yield np.fft.ifftn(arr_hat * khat, axes=axes).real / mask.sum()
 
 
 def _space_radius_ladder(grid, radii_cells):
@@ -124,47 +143,17 @@ def _space_radius_ladder(grid, radii_cells):
 def maximal_space(f, radii_cells=None):
     """Hardy-Littlewood maximal function over centered periodic balls.
 
-    The ladder is dense (every integer radius up to n/2) in one dimension
-    and dyadic in two, where each radius costs a circular convolution.
-    Radius 0 is always included, so the output dominates the input.
+    The default ladder is dense (every integer radius up to n/2) in one
+    dimension and dyadic in two, where each radius costs a circular
+    convolution.  Radius 0 is always included and is the input itself, so
+    the output dominates the input.
     """
     values = _require_real(f.values, "maximal_space input")
-    grid = f.grid
+    ladder = _space_radius_ladder(f.grid, radii_cells)
     out = np.full_like(values, -np.inf)
-    if grid.d == 1:
-        n = grid.n
-        kmax = n // 2
-        padded = np.concatenate([values[..., -kmax:], values, values[..., :kmax]],
-                                axis=-1)
-        c = np.cumsum(padded, axis=-1, dtype=float)
-        c = np.concatenate([np.zeros(values.shape[:-1] + (1,)), c], axis=-1)
-        for k in _space_radius_ladder(grid, radii_cells):
-            lo = kmax - k
-            means = (c[..., lo + 2 * k + 1: lo + 2 * k + 1 + n]
-                     - c[..., lo: lo + n]) / (2 * k + 1)
-            np.maximum(out, means, out=out)
-    else:
-        for k in _space_radius_ladder(grid, radii_cells):
-            means = _wrap_ball_means_nd(values, k, grid.d)
-            np.maximum(out, means, out=out)
-    return Field(grid, out, domain="space")
-
-
-def _time_window_means(arr, k, full_normalizer=True):
-    """Zero-extended centered window means of width 2k+1 along axis 0."""
-    nt = arr.shape[0]
-    if k == 0:
-        return arr.astype(float)
-    pad = np.zeros((k,) + arr.shape[1:])
-    padded = np.concatenate([pad, arr, pad], axis=0)
-    c = np.cumsum(padded, axis=0, dtype=float)
-    c = np.concatenate([np.zeros((1,) + arr.shape[1:]), c], axis=0)
-    sums = c[2 * k + 1: 2 * k + 1 + nt] - c[:nt]
-    if full_normalizer:
-        return sums / (2 * k + 1)
-    i = np.arange(nt)
-    counts = np.minimum(i + k, nt - 1) - np.maximum(i - k, 0) + 1
-    return sums / counts.reshape((nt,) + (1,) * (arr.ndim - 1))
+    for means in _wrap_ball_means_nd(values, ladder, f.grid.d):
+        np.maximum(out, means, out=out)
+    return Field(f.grid, out, domain="space")
 
 
 def maximal_time(f, radii=None):
@@ -175,11 +164,11 @@ def maximal_time(f, radii=None):
     line.  The default ladder is dense: every k from 0 to nt - 1.
     """
     values = _require_real(f.values, "maximal_time input")
-    nt = values.shape[0]
-    ladder = sorted(set(int(k) for k in radii)) if radii is not None else range(nt)
+    ladder = (sorted(set(int(k) for k in radii)) if radii is not None
+              else range(values.shape[0]))
     out = np.full_like(values, -np.inf)
-    for k in ladder:
-        np.maximum(out, _time_window_means(values, k), out=out)
+    for means in _window_means(values, ladder, axis=0):
+        np.maximum(out, means, out=out)
     return replace(f, values=out)
 
 
@@ -221,8 +210,8 @@ def _cylinder_cells(grid, dt, R, delta0):
 
 def _cylinder_means(arr, grid, kt, ks):
     """Separable cylinder means: periodic space ball, clipped time window."""
-    spaced = _wrap_ball_means_nd(arr, ks, grid.d)
-    return _time_window_means(spaced, kt, full_normalizer=False)
+    spaced = next(_wrap_ball_means_nd(arr, [ks], grid.d))
+    return next(_window_means(spaced, [kt], axis=0, clipped=True))
 
 
 def _dilate(arr, grid, kt, ks):

@@ -20,7 +20,7 @@ evaluated by one contraction for a whole block of paths at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class PathEnsemble:
 
     ``values`` has shape (M, len(t_indices)) + grid.shape; path m was driven
     by the increment stream keyed on (spec.seed, base_path + m).
+    ``propagator`` is the forcing's :class:`Propagator` the paths came from.
     """
 
     spec: NoiseSpec
@@ -86,6 +87,7 @@ class PathEnsemble:
     t_indices: tuple
     base_path: int
     values: np.ndarray
+    propagator: Propagator = field(repr=False, compare=False)
 
     @property
     def M(self) -> int:
@@ -159,7 +161,7 @@ def simulate_ensemble(sym, f, spec, M, t_indices=None, base_path=0):
     for slot, i in enumerate(t_indices):
         values[:, slot] = prop.to_space(_contract(prop, dw, i))
     return PathEnsemble(spec=spec, grid=g, t0=f.t0, t_indices=t_indices,
-                        base_path=base_path, values=values)
+                        base_path=base_path, values=values, propagator=prop)
 
 
 def stochastic_convolution(sym, f, spec, path):
@@ -173,23 +175,21 @@ def stochastic_convolution(sym, f, spec, path):
                           values=ens.values[0][:, None], domain="space")
 
 
-def ito_isometry_check(sym, f, ensemble, t_slot=0, x_index=None):
+def ito_isometry_check(ensemble, t_slot=0, x_index=None):
     """Relative error of the MC second moment against the exact discrete sum.
 
-    Reads the samples of ``ensemble`` (from ``simulate_ensemble(sym, f, ...)``)
-    at slot ``t_slot`` and point ``x_index``.  E|u|^2 there equals
-    sum_{k, j < i*} |c_kj|^2 dt exactly for the left-point scheme, so the
-    value is a pure MC convergence measurement: |mean - exact| / exact, with
-    the standard error of the mean (also relative to exact) alongside.
+    Reads the samples of ``ensemble`` at slot ``t_slot`` and point
+    ``x_index``, and the exact moment from the propagator it was simulated
+    with.  E|u|^2 there equals sum_{k, j < i*} |c_kj|^2 dt exactly for the
+    left-point scheme, so the value is a pure MC convergence measurement:
+    |mean - exact| / exact, with the standard error of the mean (also
+    relative to exact) alongside.
     """
-    _check_compatible(f, ensemble.spec)
-    if ensemble.grid != f.grid:
-        raise ValueError("ensemble and field live on different grids")
-    x_index = tuple(_default_point(f.grid) if x_index is None else x_index)
-    prop = Propagator(sym, f)
+    x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
+    prop = ensemble.propagator
     conv_hat = _convolved_slices(prop, ensemble.t_indices[t_slot])
     coeff = prop.to_space(conv_hat)[(slice(None), slice(None)) + x_index]
-    exact = float(np.sum(np.abs(coeff) ** 2) * f.dt)
+    exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")
     sq = np.abs(ensemble.values[(slice(None), t_slot) + x_index]) ** 2

@@ -186,7 +186,7 @@ def test_ito_isometry_and_monte_carlo_scaling():
     errors = {}
     for M in (1024, 4096, 16384):
         ens = ps.simulate_ensemble(heat, f, spec, M)
-        errors[M] = ps.ito_isometry_check(heat, f, ens)
+        errors[M] = ps.ito_isometry_check(ens)
     assert errors[4096].value < 0.05
     for small, large in ((1024, 4096), (4096, 16384)):
         ratio = errors[small].std_error / errors[large].std_error

@@ -186,6 +186,30 @@ class TestSuites:
         assert row["mu"] == ["7/2", "7/2", "7/2"]
         assert row["valid"]["delta0_gamma"] is True
 
+    @pytest.mark.parametrize("flags", [["--dim", "x"], ["--dim", "0"],
+                                       ["--gamma", "0"]])
+    def test_bad_exponents_flags_are_usage_errors(self, tmp_path, capsys,
+                                                  flags):
+        rc = main(["exponents", *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "exponents.json").exists()
+
+    def test_spde_builds_one_propagator(self, tmp_path, cli_config,
+                                        monkeypatch):
+        real = ps.spde.Propagator
+        built = []
+
+        def counting(sym, f):
+            built.append(f)
+            return real(sym, f)
+
+        monkeypatch.setattr("paleyscope.spde.Propagator", counting)
+        rc = main(["spde", "--config", str(cli_config), "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(built) == 1
+
     def test_kernel_dump_hash_matches_file(self, tmp_path, cli_config):
         rc = main(["kernel-dump", "--config", str(cli_config),
                    "--out", str(tmp_path)])

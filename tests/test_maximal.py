@@ -4,6 +4,40 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope.maximal import _window_means
+
+
+def _wrap_window_means_1d(arr, k):
+    """Reference: periodic centered window means of width 2k+1 along the
+    last axis, one prefix-sum table per radius."""
+    n = arr.shape[-1]
+    if k == 0:
+        return arr.copy()
+    reps = int(np.ceil(k / n))
+    pad_l = np.concatenate([arr] * reps, axis=-1)[..., -k:]
+    pad_r = np.concatenate([arr] * reps, axis=-1)[..., :k]
+    padded = np.concatenate([pad_l, arr, pad_r], axis=-1)
+    c = np.cumsum(padded, axis=-1, dtype=float)
+    c = np.concatenate([np.zeros(arr.shape[:-1] + (1,)), c], axis=-1)
+    return (c[..., 2 * k + 1:] - c[..., :n]) / (2 * k + 1)
+
+
+def _time_window_means(arr, k, full_normalizer=True):
+    """Reference: zero-extended centered window means of width 2k+1 along
+    axis 0, one prefix-sum table per radius."""
+    nt = arr.shape[0]
+    if k == 0:
+        return arr.astype(float)
+    pad = np.zeros((k,) + arr.shape[1:])
+    padded = np.concatenate([pad, arr, pad], axis=0)
+    c = np.cumsum(padded, axis=0, dtype=float)
+    c = np.concatenate([np.zeros((1,) + arr.shape[1:]), c], axis=0)
+    sums = c[2 * k + 1: 2 * k + 1 + nt] - c[:nt]
+    if full_normalizer:
+        return sums / (2 * k + 1)
+    i = np.arange(nt)
+    counts = np.minimum(i + k, nt - 1) - np.maximum(i - k, 0) + 1
+    return sums / counts.reshape((nt,) + (1,) * (arr.ndim - 1))
 
 
 def _indicator_field(n=1024, L=20.0):
@@ -30,6 +64,11 @@ class TestSpaceMaximal:
         grid, f = _indicator_field(n=128)
         out = ps.maximal_space(f)
         assert np.all(out.values.real >= np.abs(f.values) - 1e-15)
+        # radius 0 returns the input itself, so even a signed field is
+        # dominated with no slack
+        v = np.random.default_rng(5).standard_normal((3, 128))
+        out = ps.maximal_space(ps.Field(grid=grid, values=v + 0j))
+        assert np.all(out.values.real >= v)
 
     def test_constant_is_fixed_point(self):
         grid = ps.SpaceGrid(d=1, n=64, L=20.0)
@@ -58,6 +97,66 @@ class TestSpaceMaximal:
                 acc = [v[0, (i + a) % 16, (j + b) % 16] for a, b in offsets]
                 direct[i, j] = np.mean(acc)
         np.testing.assert_allclose(out.values[0].real, direct, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_radius_beyond_half_the_grid_wraps(self, k):
+        # on n = 8 cells these windows cover the circle more than once
+        grid = ps.SpaceGrid(d=1, n=8, L=20.0)
+        v = np.random.default_rng(14).standard_normal((2, 8))
+        out = ps.maximal_space(ps.Field(grid=grid, values=v + 0j),
+                               radii_cells=[k])
+        direct = np.array([[np.mean([row[(i + o) % 8]
+                                     for o in range(-k, k + 1)])
+                            for i in range(8)] for row in v])
+        np.testing.assert_allclose(out.values.real, direct, rtol=0, atol=1e-14)
+
+    def test_planar_ladder_transforms_the_data_once(self, monkeypatch):
+        real = np.fft.fftn
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        grid = ps.SpaceGrid(d=2, n=16, L=16.0)
+        ps.maximal_space(ps.Field(grid=grid, values=np.ones((3, 16, 16)) + 0j))
+        # ladder 0, 1, 2, 4, 8: one transform of the data, one per kernel
+        assert shapes.count((3, 16, 16)) == 1
+        assert shapes.count((16, 16)) == 4
+
+
+class TestWindowMeans:
+    """The one prefix-sum primitive against the per-radius codes it replaced."""
+
+    @staticmethod
+    def _along(reference, arr, axis, *args):
+        """Apply a reference that works on one fixed axis along ``axis``."""
+        home = -1 if reference is _wrap_window_means_1d else 0
+        return np.moveaxis(reference(np.moveaxis(arr, axis, home), *args),
+                           home, axis)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("k", [1, 2, 6, 7, 13, 30])
+    def test_wrap_matches_the_per_radius_table(self, axis, k):
+        # axis lengths 11 and 13; k = 13 and 30 exceed both
+        arr = np.random.default_rng(21).standard_normal((11, 13))
+        (got,) = _window_means(arr, [k], axis, wrap=True)
+        want = self._along(_wrap_window_means_1d, arr, axis, k)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_zero_padded_ladder_matches_the_per_radius_tables(self, axis,
+                                                             clipped):
+        # one table padded by the largest radius: the extra zeros are exact
+        arr = np.random.default_rng(22).standard_normal((11, 13))
+        ladder = range(2 * arr.shape[axis])
+        got = list(_window_means(arr, ladder, axis, clipped=clipped))
+        assert got[0] is arr
+        for k in ladder[1:]:
+            want = self._along(_time_window_means, arr, axis, k, not clipped)
+            np.testing.assert_array_equal(got[k], want)
 
 
 class TestTimeMaximal:
