@@ -70,6 +70,7 @@ from .squarefn import (
     lp_space_time_norm,
     scaling_check,
     square_function,
+    square_function_l2,
 )
 from .symbols import (
     EllipticityReport,
@@ -95,8 +96,8 @@ __all__ = [
     "cumulative_symbol_integrals", "Propagator", "dump_field",
     "load_field", "aliasing_budget", "warn_if_underresolved",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",
-    "lp_space_time_norm", "lp_ratio", "elliptic_square_function",
-    "scaling_check",
+    "square_function_l2", "lp_space_time_norm", "lp_ratio",
+    "elliptic_square_function", "scaling_check",
     "make_corpus", "corpus_entry", "DEFAULT_SEED",
     "as_fraction", "derive_c3_delta0", "theta", "mu_admissible",
     "KernelExponents", "solve_mu", "theorem_exponents", "EnvelopeFamily",

@@ -52,7 +52,7 @@ from .spectral import (
     synthesize_kernel,
     warn_if_underresolved,
 )
-from .squarefn import lp_space_time_norm, square_function
+from .squarefn import lp_space_time_norm, square_function, square_function_l2
 from .symbols import (
     FractionalSymbol,
     LevySymbol,
@@ -335,9 +335,13 @@ def _suite_lp_ratio(cfg, out_dir, threads):
     c0 = verify_assumption1(sym, cfg.eta, _xi_samples(grid.d))
     bound = math.sqrt(c0) + 1e-3
 
+    needs_G = any(p != 2.0 for p in cfg.p_list)
+
     def one(f):
-        G = square_function(sym, cfg.eta, f)
-        return [(p, lp_space_time_norm(G, p) / lp_space_time_norm(f, p))
+        # G pointwise only for p != 2; the p = 2 norm comes from Parseval
+        G = square_function(sym, cfg.eta, f) if needs_G else None
+        return [(p, (square_function_l2(sym, cfg.eta, f) if p == 2.0
+                     else lp_space_time_norm(G, p)) / lp_space_time_norm(f, p))
                 for p in cfg.p_list]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -15,7 +15,13 @@ cumulative symbol integrals, the solution mode amplitudes are
 
     u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j,
 
-evaluated by one contraction for a whole block of paths at a time.
+evaluated by one contraction for a whole block of paths at a time.  When
+every time is needed, the same sum is carried forward by the
+exponential-integrator recursion
+
+    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k fhat^k(s_{i-1}) dW^k_{i-1})
+
+with the step factors e_i = exp(I[i] - I[i-1]).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import Propagator, SpaceTimeField, fractional_multiplier
-from .squarefn import DegenerateFieldError, lp_space_time_norm, square_function
+from .squarefn import DegenerateFieldError, lp_ratio, lp_space_time_norm
 
 __all__ = [
     "NoiseSpec",
@@ -125,11 +131,27 @@ def _convolved_slices(prop, t_index):
 def _contract(prop, dw, t_index):
     """u_hat(t_i)[m] = sum_{k, j < i} dW[m, k, j] exp(I[i] - I[j]) fhat[j, k].
 
-    The one place where decay factors, forcing and increments meet.  The
-    whole ``(M, K, nt)`` block is contracted against the zero-padded slices,
-    so no slice of the block is copied.  Returns shape ``(M,) + grid.shape``.
+    The sum at one time, formed directly (:func:`_advance` carries it over
+    all times).  The whole ``(M, K, nt)`` block is contracted against the
+    zero-padded slices, so no slice of the block is copied.  Returns shape
+    ``(M,) + grid.shape``.
     """
     return np.tensordot(dw, _convolved_slices(prop, t_index), axes=([1, 2], [1, 0]))
+
+
+def _advance(prop, dw):
+    """Yield u_hat(t_i) for i = 1 .. nt - 1 of every path in the block ``dw``.
+
+    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k dW[:, k, i-1] fhat[i-1, k]) from
+    u_hat(t_0) = 0: the sum :func:`_contract` forms, carried one step at a
+    time, so each step costs O(M * K * n^d) whatever nt is.  The yielded
+    array is replaced, not modified, by the next step.
+    """
+    u = np.zeros((dw.shape[0],) + prop.grid.shape, dtype=complex)
+    for i in range(1, prop.fhat.shape[0]):
+        forced = np.tensordot(dw[:, :, i - 1], prop.fhat[i - 1], axes=1)
+        u = prop.step[i - 1] * (u + forced)
+        yield u
 
 
 def _default_point(grid):
@@ -187,8 +209,7 @@ def ito_isometry_check(ensemble, t_slot=0, x_index=None):
     """
     x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
     prop = ensemble.propagator
-    conv_hat = _convolved_slices(prop, ensemble.t_indices[t_slot])
-    coeff = prop.to_space(conv_hat)[(slice(None), slice(None)) + x_index]
+    coeff = prop.to_point(_convolved_slices(prop, ensemble.t_indices[t_slot]), x_index)
     exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")
@@ -205,8 +226,9 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     ``value`` is E ||D^eta u||_p^p / || |f| ||_p^p with eta the requested
     derivative order (applied as the Riesz multiplier |xi|^eta); ``majorant``
     reports the deterministic square-function pathway (||G f||_p/||f||_p)^p
-    with the same eta.  All M paths are advanced together, one time step at
-    a time, from a single increment block.
+    with the same eta, from :func:`~paleyscope.squarefn.lp_ratio` (so
+    without forming G at p = 2).  All M paths are advanced together by
+    :func:`_advance`, one time step at a time, from a single increment block.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -222,16 +244,14 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     riesz = fractional_multiplier(g, eta)
     dw = _increment_block(spec, M, base_path)
     sums = np.zeros(M)
-    for i in range(1, f.nt):
-        mag = np.abs(prop.to_space(riesz * _contract(prop, dw, i)))
+    for u_hat in _advance(prop, dw):
+        mag = np.abs(prop.to_space(riesz * u_hat))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p
-    G = square_function(sym, eta, f)
-    majorant = (lp_space_time_norm(G, p) / norm_f) ** p
-    return MomentEstimate(value=value, std_error=std_err, M=M,
-                          majorant=float(majorant))
+    majorant = lp_ratio(sym, eta, f, p).ratio ** p
+    return MomentEstimate(value=value, std_error=std_err, M=M, majorant=majorant)
 
 
 def gaussianity_diagnostic(ensemble, t_slot=0, x_index=None):

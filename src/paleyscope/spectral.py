@@ -23,6 +23,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -303,9 +304,34 @@ class Propagator:
         """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``."""
         return np.exp(self.integrals[i][None] - self.integrals[:stop])
 
+    @cached_property
+    def step(self):
+        """One-step factors e_i = exp(I[i] - I[i-1]) in row i - 1, i = 1 .. nt - 1.
+
+        Shape ``(nt - 1,) + grid.shape``, formed on first use.  Re psi <= 0
+        gives |e_i| <= 1, so recursions that multiply by them cannot
+        overflow; products of consecutive rows reproduce ``decay`` up to
+        rounding.
+        """
+        return np.exp(np.diff(self.integrals, axis=0))
+
     def to_space(self, values):
         """Inverse transform of a frequency-side array over its grid axes."""
         return _inverse(self.grid, values)
+
+    def to_point(self, values, x_index):
+        """``to_space(values)`` at the grid point ``x_index`` only.
+
+        Contracts the last d axes with the inverse-transform row of that
+        point, so the cost is one dot product rather than a full transform.
+        """
+        g = self.grid
+        k = np.arange(g.n)
+        row = 1.0
+        for x in x_index:
+            row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % g.n) / g.n))
+        row = g.phase() * row / (g.n * g.h) ** g.d
+        return np.tensordot(values, row, axes=g.d)
 
 
 _HEADER = struct.Struct("<4sIIId")  # magic, d, n, K_H, L; padded to 32 bytes
@@ -342,14 +368,25 @@ def dump_field(f, path):
 
 
 def load_field(path):
-    """Read a PLSF file back into a space-domain Field (complex64 payload)."""
+    """Read a PLSF file back into a space-domain Field (complex64 payload).
+
+    Raises ValueError unless the file is exactly one header with zero
+    padding followed by the payload its header announces.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER_LEN or raw[:4] != _MAGIC:
         raise ValueError("not a PLSF file")
     magic, d, n, k_h, L = _HEADER.unpack(raw[:_HEADER.size])
+    if any(raw[_HEADER.size:_HEADER_LEN]):
+        raise ValueError("PLSF header padding is not zero")
     grid = SpaceGrid(d=int(d), n=int(n), L=float(L))
     count = k_h * n ** d
+    size = len(raw) - _HEADER_LEN
+    want = count * np.dtype(np.complex64).itemsize
+    if size != want:
+        kind = "truncated" if size < want else "followed by trailing bytes"
+        raise ValueError(f"PLSF payload {kind}: {size} bytes, header announces {want}")
     vals = np.frombuffer(raw[_HEADER_LEN:], dtype=np.complex64, count=count)
     vals = vals.reshape((k_h,) + grid.shape).astype(complex)
     return Field(grid, vals, domain="space")

@@ -115,6 +115,38 @@ class TestSuites:
         # four corpus entries, two p values, one G each
         assert len(seen) == 4 and len(set(seen)) == 4
 
+    def test_lp_ratio_p2_alone_never_forms_g(self, tmp_path, cli_config,
+                                            monkeypatch):
+        rc = main(["lp-ratio", "--config", str(cli_config),
+                   "--out", str(tmp_path / "both"), "--threads", "1"])
+        assert rc == 0
+        with open(tmp_path / "both" / "lp-ratio.csv", newline="") as fh:
+            both = [r for r in csv.DictReader(fh) if r["p"] == "2"]
+        cfg = json.loads(cli_config.read_text())
+        cfg["p_list"] = [2.0]
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(cfg))
+        real = ps.squarefn.square_function
+        seen = []
+        monkeypatch.setattr("paleyscope.squarefn.square_function",
+                            lambda *a: seen.append(a))
+        monkeypatch.setattr("paleyscope.cli.square_function",
+                            lambda *a: seen.append(a))
+        rc = main(["lp-ratio", "--config", str(path),
+                   "--out", str(tmp_path), "--threads", "1"])
+        assert rc == 0 and seen == []
+        with open(tmp_path / "lp-ratio.csv", newline="") as fh:
+            alone = list(csv.DictReader(fh))
+        assert [(r["C0_bound"], r["pass"]) for r in alone] == [
+            (r["C0_bound"], r["pass"]) for r in both]
+        # each ratio against the pointwise G route (eta defaults to order/2)
+        c = load_config(path)
+        fields = ps.make_corpus(c.grid, c.nt, count=4, seed=c.corpus["seed"])
+        for row, f in zip(alone, fields):
+            want = (ps.lp_space_time_norm(real(c.symbol, c.eta, f), 2.0)
+                    / ps.lp_space_time_norm(f, 2.0))
+            assert float(row["ratio"]) == pytest.approx(want, rel=1e-12)
+
     def test_stale_temp_directory_does_not_block_the_report(self, tmp_path,
                                                            cli_config):
         stale = tmp_path / "lp-ratio.csv.tmp"

@@ -1,0 +1,101 @@
+"""Properties of the step factor e_i = exp(I[i] - I[i-1]) over all three families."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import paleyscope as ps
+from paleyscope import spde
+
+EPS = np.finfo(float).eps
+NU = 0.5
+
+
+def _breakpoints(draw):
+    rest = draw(st.lists(st.floats(0.05, 2.0), max_size=2, unique=True))
+    return [0.0] + sorted(rest)
+
+
+@st.composite
+def symbols(draw):
+    """A piecewise-constant symbol of one of the three families at d = 1."""
+    family = draw(st.sampled_from(["fractional", "polyform", "levy"]))
+    breaks = _breakpoints(draw)
+    pieces = len(breaks)
+    re = st.floats(NU + 0.05, 1.0 / NU - 0.05)
+    im = st.floats(-1.0, 1.0)
+    if family == "fractional":
+        a = [complex(draw(re), draw(im)) for _ in range(pieces)]
+        return ps.FractionalSymbol(gamma=draw(st.floats(0.5, 2.5)),
+                                   a=(breaks, a), nu=NU)
+    if family == "polyform":
+        m = draw(st.sampled_from([1, 2]))
+        a = [complex(draw(re), draw(im)) for _ in range(pieces)]
+        return ps.PolyFormSymbol(m=m, coeffs={((m,), (m,)): (breaks, a)}, nu=NU)
+    table = [[draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))]
+             for _ in range(pieces)]
+    return ps.LevySymbol(k=draw(st.sampled_from([0, 1])),
+                         gamma=draw(st.floats(0.2, 1.8)), d=1,
+                         density=(breaks, table))
+
+
+@st.composite
+def propagators(draw):
+    """(symbol, forcing, propagator) on a small random space-time grid."""
+    sym = draw(symbols())
+    grid = ps.SpaceGrid(d=1, n=draw(st.sampled_from([8, 16, 32])),
+                        L=draw(st.floats(5.0, 40.0)))
+    nt = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (nt, 2) + grid.shape
+    f = ps.SpaceTimeField(grid=grid, t0=draw(st.floats(0.0, 0.5)),
+                          dt=draw(st.floats(0.01, 0.2)),
+                          values=rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape))
+    return sym, f, ps.Propagator(sym, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=propagators())
+def test_step_factors_never_grow(case):
+    _, f, prop = case
+    assert prop.step.shape == (f.nt - 1,) + f.grid.shape
+    assert np.all(np.abs(prop.step) <= 1.0 + 1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=propagators(), data=st.data())
+def test_step_products_follow_the_semigroup_law(case, data):
+    # prod_{l = j+1 .. i} e_l = exp(I[i] - I[j]); the rounding of the summed
+    # exponent grows with |I[i] - I[j]|, so the tolerance does too
+    _, f, prop = case
+    nt = f.nt
+    i = data.draw(st.integers(1, nt - 1))
+    want = prop.decay(i, i + 1)
+    tiny = np.finfo(float).tiny
+    prod = np.ones(f.grid.shape, dtype=complex)
+    for j in range(i - 1, -1, -1):
+        prod = prod * prop.step[j]
+        ref = want[j]
+        normal = np.abs(ref) >= tiny
+        tol = 4 * nt * EPS * (1.0 + np.abs(prop.integrals[i] - prop.integrals[j]))
+        err = np.abs(prod - ref)
+        assert np.all(err[normal] <= tol[normal] * np.abs(ref[normal]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=propagators(), data=st.data())
+def test_recursion_is_causal(case, data):
+    # u(t_i) of the recursion reads forcing slices j < i only, bit for bit
+    sym, f, prop = case
+    i = data.draw(st.integers(1, f.nt - 1))
+    dw = np.random.default_rng(i).standard_normal((3, f.k_h, f.nt))
+    tampered = f.values.copy()
+    tampered[i:] = 7.7 + 0.1j
+    prop2 = ps.Propagator(sym, ps.SpaceTimeField(grid=f.grid, t0=f.t0,
+                                                 dt=f.dt, values=tampered))
+    u = list(spde._advance(prop, dw))
+    u2 = list(spde._advance(prop2, dw))
+    np.testing.assert_array_equal(u[i - 1], u2[i - 1])
+    if i < f.nt - 1:
+        assert not np.array_equal(u[i], u2[i])

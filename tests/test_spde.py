@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope import spde
 
 
 @pytest.fixture()
@@ -131,6 +132,25 @@ class TestSecondMoment:
         assert est.M == 2048
         assert est.std_error > 0.0
 
+    @pytest.mark.parametrize("d, x_index", [(1, None), (1, (5,)), (2, (3, 11))])
+    def test_exact_moment_matches_the_full_inverse_transform(self, heat, d,
+                                                            x_index):
+        g = ps.SpaceGrid(d=d, n=64 if d == 1 else 16, L=20.0)
+        f = ps.corpus_entry(g, 16, 1)
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=16)
+        ens = ps.simulate_ensemble(heat, f, spec, M=64, t_indices=(9,))
+        x = (g.n // 2,) * d if x_index is None else x_index
+        prop = ens.propagator
+        coeff = prop.to_space(spde._convolved_slices(prop, 9))[
+            (slice(None), slice(None)) + x]
+        exact = np.sum(np.abs(coeff) ** 2) * spec.dt
+        sq = np.abs(ens.values[(slice(None), 0) + x]) ** 2
+        est = ps.ito_isometry_check(ens, x_index=x_index)
+        assert est.value == pytest.approx(abs(sq.mean() - exact) / exact,
+                                          rel=1e-12)
+        assert est.std_error == pytest.approx(
+            sq.std(ddof=1) / np.sqrt(64) / exact, rel=1e-12)
+
     def test_zero_coefficients_rejected(self, grid, heat):
         vals = np.zeros((16, 1, 64), dtype=complex)
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
@@ -157,7 +177,39 @@ def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
     return np.mean(norms) / scale, np.std(norms, ddof=1) / np.sqrt(M) / scale
 
 
+def _moment_by_contraction(sym, f, spec, M, p, eta, base_path):
+    """Reference route: every time step contracted from scratch by _contract."""
+    g = f.grid
+    prop = ps.Propagator(sym, f)
+    riesz = ps.fractional_multiplier(g, eta)
+    dw = spde._increment_block(spec, M, base_path)
+    sums = np.zeros(M)
+    for i in range(1, f.nt):
+        mag = np.abs(prop.to_space(riesz * spde._contract(prop, dw, i)))
+        sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
+    norms = sums * g.h ** g.d * f.dt
+    scale = ps.lp_space_time_norm(f, p) ** p
+    G = ps.square_function(sym, eta, f)
+    majorant = (ps.lp_space_time_norm(G, p) / ps.lp_space_time_norm(f, p)) ** p
+    return (np.mean(norms) / scale, np.std(norms, ddof=1) / np.sqrt(M) / scale,
+            majorant)
+
+
 class TestHigherMoments:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_recursion_matches_per_step_contraction(self, d, p):
+        sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
+                                  nu=0.5)
+        g = ps.SpaceGrid(d=d, n=64 if d == 1 else 16, L=20.0)
+        f = ps.corpus_entry(g, 24, 1)
+        spec = ps.NoiseSpec(K=f.k_h, seed=9, dt=f.dt, nt=24)
+        est = ps.moment_bound_check(sym, f, spec, M=5, p=p,
+                                    derivative_order=1.0, base_path=2)
+        want = _moment_by_contraction(sym, f, spec, 5, p, 1.0, base_path=2)
+        np.testing.assert_allclose([est.value, est.std_error, est.majorant],
+                                   want, rtol=1e-12)
+
     def test_matches_path_by_path_reference(self, forcing, spec):
         sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
                                   nu=0.5)

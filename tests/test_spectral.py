@@ -159,6 +159,30 @@ class TestFieldFormat:
         # fixed 32-byte header then row-major complex64 payload
         assert len(raw) == 32 + 2 * 64 * 8
 
+    def _dumped(self, tmp_path, grid):
+        f = ps.Field(grid=grid, values=np.ones((2, 64), dtype=complex))
+        path = tmp_path / "field.plsf"
+        ps.dump_field(f, path)
+        return path, path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path, grid):
+        path, raw = self._dumped(tmp_path, grid)
+        path.write_bytes(raw + b"junk")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            ps.load_field(path)
+
+    def test_nonzero_header_padding_rejected(self, tmp_path, grid):
+        path, raw = self._dumped(tmp_path, grid)
+        path.write_bytes(raw[:31] + b"\x01" + raw[32:])
+        with pytest.raises(ValueError, match="header padding"):
+            ps.load_field(path)
+
+    def test_truncated_payload_rejected(self, tmp_path, grid):
+        path, raw = self._dumped(tmp_path, grid)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            ps.load_field(path)
+
     def test_rejects_frequency_domain(self, tmp_path, grid):
         f = ps.Field(grid=grid, values=np.ones((1, 64), dtype=complex))
         with pytest.raises(ValueError):

@@ -95,6 +95,53 @@ class TestSquareFunction:
             ps.square_function(heat, -0.5, f)
 
 
+def _two_piece_families(d):
+    """Fractional, polyform and Levy symbols whose coefficients jump at t = 0.5."""
+    if d == 1:
+        poly = {((2,), (2,)): ([0.0, 0.5], [1.0, 2.0 + 0.3j])}
+        levy = ([0.0, 0.5], [[1.0, 1.0], [0.5, 1.5]])
+    else:
+        poly = {((1, 0), (1, 0)): ([0.0, 0.5], [1.0, 1.5]),
+                ((0, 1), (0, 1)): ([0.0, 0.5], [1.0, 0.8 + 0.2j])}
+        levy = ([0.0, 0.5], [np.ones(16), 1.0 + 0.5 * np.cos(
+            2 * np.pi * np.arange(16) / 16)])
+    return [
+        ps.FractionalSymbol(gamma=1.5, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5),
+        ps.PolyFormSymbol(m=2 if d == 1 else 1, coeffs=poly, nu=0.5),
+        ps.LevySymbol(k=0, gamma=0.5, d=d, density=levy, nodes=16),
+    ]
+
+
+class TestParsevalNorm:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    @pytest.mark.parametrize("eta_scale", [0.0, 0.5])
+    def test_matches_the_square_function_route(self, d, family, eta_scale):
+        # the step 0.07 puts the symbols' breakpoint 0.5 inside a step
+        sym = _two_piece_families(d)[family]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        rng = np.random.default_rng(11 + d)
+        shape = (13, 2) + grid.shape
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.07, values=vals)
+        eta = eta_scale * sym.order
+        want = ps.lp_space_time_norm(ps.square_function(sym, eta, f), 2.0)
+        assert ps.square_function_l2(sym, eta, f) == pytest.approx(want, rel=1e-12)
+
+    def test_lp_ratio_takes_p2_from_parseval(self, grid, heat):
+        f = ps.corpus_entry(grid, 16, 0)
+        rep = ps.lp_ratio(heat, 1.0, f, 2.0)
+        assert rep.norm_G == ps.square_function_l2(heat, 1.0, f)
+        want = ps.lp_space_time_norm(ps.square_function(heat, 1.0, f), 2.0)
+        assert rep.norm_G == pytest.approx(want, rel=1e-12)
+
+    def test_negative_eta_rejected(self, grid, heat):
+        f = ps.corpus_entry(grid, 16, 0)
+        with pytest.raises(ValueError):
+            ps.square_function_l2(heat, -0.5, f)
+
+
 class TestNorms:
     def test_hand_value_for_ones(self, grid):
         f = ps.SpaceTimeField(
