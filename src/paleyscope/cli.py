@@ -37,7 +37,7 @@ from .assumptions import (
     verify_assumption1,
 )
 from .corpus import DEFAULT_SEED, make_corpus
-from .maximal import fefferman_stein_check, sharp_bound_ratio
+from .maximal import _sharp_bound_ratios
 from .spde import (
     NoiseSpec,
     gaussianity_diagnostic,
@@ -372,8 +372,7 @@ def _suite_sharp_bound(cfg, out_dir, threads):
     p_fs = cfg.p_list[0] if cfg.p_list and cfg.p_list[0] > 1 else 2.0
 
     def one(f):
-        G = square_function(sym, cfg.eta, f)
-        return sharp_bound_ratio(G, f, delta0), fefferman_stein_check(G, p_fs, delta0)
+        return _sharp_bound_ratios(square_function(sym, cfg.eta, f), f, p_fs, delta0)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(one, fields))

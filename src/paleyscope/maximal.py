@@ -303,13 +303,7 @@ def sharp_bound_ratio(G, f, delta0, r_ladder=None, space_radii=None,
                       time_radii=None, metric="l2"):
     """The ratio of :func:`verify_sharp_bound` for a precomputed G = G f."""
     sharp = _sharp_core(G.values, f.grid, f.dt, delta0, r_ladder, metric)
-    # the time slices of |f|_H^2 ride through maximal_space as channels
-    density = Field(f.grid, np.sum(np.abs(f.values) ** 2, axis=1))
-    mx = maximal_space(density, radii_cells=space_radii)
-    w = maximal_time(mx, radii=time_radii).values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
-    return float(np.max(ratio))
+    return _sup_ratio(sharp, f, space_radii, time_radii)
 
 
 def fefferman_stein_check(h, p, delta0, r_ladder=None, metric="l2"):
@@ -321,11 +315,48 @@ def fefferman_stein_check(h, p, delta0, r_ladder=None, metric="l2"):
     if p <= 1:
         raise ValueError("p must exceed 1")
     arr, grid, _, dt, _ = _as_scalar_spacetime(h)
+    h0 = _mean_removed(arr)
+    sharp = _sharp_core(h0, grid, dt, delta0, r_ladder, metric)
+    return _fs_ratio(h0, sharp, p, grid.h ** grid.d * dt)
+
+
+def _sharp_bound_ratios(G, f, p, delta0):
+    """(:func:`sharp_bound_ratio`, :func:`fefferman_stein_check`) of G = G f.
+
+    Both read one sharp function, taken of the mean-removed G: the RMS
+    oscillation ignores an added constant, so the first ratio equals
+    ``sharp_bound_ratio(G, f, delta0)`` up to rounding and the second is
+    ``fefferman_stein_check(G, p, delta0)`` exactly.  Default ladders, l2
+    metric.
+    """
+    if p <= 1:
+        raise ValueError("p must exceed 1")
+    h0 = _mean_removed(G.values)
+    sharp = _sharp_core(h0, f.grid, f.dt, delta0, None, "l2")
+    return (_sup_ratio(sharp, f, None, None),
+            _fs_ratio(h0, sharp, p, f.grid.h ** f.grid.d * f.dt))
+
+
+def _sup_ratio(sharp, f, space_radii, time_radii):
+    """sup of sharp / sqrt(M_time(M_space |f|_H^2)), 0/0 counted as 0."""
+    # the time slices of |f|_H^2 ride through maximal_space as channels
+    density = Field(f.grid, np.sum(np.abs(f.values) ** 2, axis=1))
+    mx = maximal_space(density, radii_cells=space_radii)
+    w = maximal_time(mx, radii=time_radii).values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
+    return float(np.max(ratio))
+
+
+def _mean_removed(arr):
     h0 = arr - arr.mean()
     if not np.any(h0):
         raise DegenerateFieldError("field is constant; ratio undefined")
-    sharp = _sharp_core(h0, grid, dt, delta0, r_ladder, metric)
-    cell = grid.h ** grid.d * dt
+    return h0
+
+
+def _fs_ratio(h0, sharp, p, cell):
+    """||h0||_p / ||sharp||_p with ``cell`` the space-time cell volume."""
     norm_h = float((np.sum(np.abs(h0) ** p) * cell) ** (1.0 / p))
     norm_sharp = float((np.sum(sharp ** p) * cell) ** (1.0 / p))
     if norm_sharp == 0.0:

@@ -319,6 +319,20 @@ class Propagator:
         """Inverse transform of a frequency-side array over its grid axes."""
         return _inverse(self.grid, values)
 
+    def inverse_factor(self, scale=1.0):
+        """The inverse transform's frequency-side factor phase * scale / h^d.
+
+        ``ifft(inverse_factor(c) * values)`` equals ``c * to_space(values)``
+        up to rounding, so a loop that transforms the same data many times
+        can fold the factor into it once.
+        """
+        g = self.grid
+        return g.phase() * (scale / g.h ** g.d)
+
+    def ifft(self, values):
+        """Raw inverse FFT over the grid axes, without phase or scale."""
+        return np.fft.ifftn(values, axes=_fft_axes(self.grid.d))
+
     def to_point(self, values, x_index):
         """``to_space(values)`` at the grid point ``x_index`` only.
 

@@ -100,29 +100,50 @@ def square_function(sym, eta, f):
 
     Notes
     -----
-    All work happens on the frequency side through a
-    :class:`~paleyscope.spectral.Propagator`: with fhat the transformed
-    slices and I[j] the cumulative symbol integrals, the convolved slice at
-    (t_i, s_j) has multiplier |xi|^eta exp(I[i] - I[j]), so one inverse
-    transform per (i, j) pair yields the integrand.  The trapezoid weights
-    over s are dt * [1/2, 1, ..., 1, 1/2]; the i = 0 value is 0 (empty
-    integration range).
+    The s integral is the trapezoid rule with weights dt * [1/2, 1, ..., 1,
+    1/2]; the i = 0 value is 0 (empty integration range).  All work happens
+    on the frequency side through a :class:`~paleyscope.spectral.Propagator`
+    with transformed slices fhat and step factors e_i = exp(I[i] - I[i-1]).
+    One amplitude block
+
+        a_j = sqrt(w'_j) |xi|^eta phase h^-d fhat_j,
+
+    with w'_j = dt/2 at j = 0 and dt otherwise, carries the weight, the
+    Riesz multiplier and the inverse transform's phase and scale (the
+    propagator's ``inverse_factor``).  Step i advances the rows j < i in
+    place by e_i, so row j then holds sqrt(w'_j) |xi|^eta exp(I[i] - I[j])
+    fhat_j up to the transform's factors, and one batched raw inverse FFT of
+    rows 0 .. i gives every integrand at t_i.  Their squares sum over j < i
+    and channels, plus half the (still unadvanced) row i for the trapezoid
+    endpoint weight dt/2.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     g = f.grid
     nt = f.nt
     prop = Propagator(sym, f)
-    riesz = fractional_multiplier(g, eta)
+    amp = prop.fhat * (fractional_multiplier(g, eta) * prop.inverse_factor(np.sqrt(f.dt)))
+    amp[0] *= np.sqrt(0.5)
     out = np.zeros((nt,) + g.shape)
     for i in range(1, nt):
-        mult = riesz[None, ...] * prop.decay(i, i + 1)  # (i+1,) + shape
-        amp = prop.to_space(mult[:, None, ...] * prop.fhat[: i + 1])
-        w = np.full(i + 1, f.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out[i] = np.sqrt(np.einsum("j,jk...->...", w, np.abs(amp) ** 2))
+        amp[:i] *= prop.step[i - 1]
+        out[i] = np.sqrt(_carried_squares(prop.ifft(amp[: i + 1])))
     return SquareField(grid=g, t0=f.t0, dt=f.dt, values=out)
+
+
+def _carried_squares(space):
+    """sum_{j, channel} |space|^2 over every row but the last, plus half the last.
+
+    ``space`` has shape ``(rows, K_H) + grid.shape``; the result has the
+    grid shape.  The transform dies on return, before the next step's.
+    """
+    rows, k_h = space.shape[:2]
+    # real and imaginary parts side by side, one row per (j, channel)
+    parts = space.view(float).reshape(rows * k_h, -1)
+    carried, end = parts[: (rows - 1) * k_h], parts[(rows - 1) * k_h:]
+    sq = (np.einsum("jx,jx->x", carried, carried)
+          + 0.5 * np.einsum("jx,jx->x", end, end))
+    return sq.reshape(space.shape[2:] + (2,)).sum(axis=-1)
 
 
 def square_function_l2(sym, eta, f):

@@ -291,8 +291,9 @@ class LevySymbol(_TimeSymbol):
         Positive normalization constants (not pinned by the underlying theory;
         they rescale time and the odd part).  Default 1.
     N0 : float
-        Required uniform negativity margin of Re psi on the unit sphere,
-        testable by sampling.
+        Required uniform negativity margin of Re psi on the unit sphere:
+        construction raises ValueError unless Re psi <= -N0 at every sphere
+        node in every time piece.
     nodes : int
         Circle node count for d=2 (ignored for d=1).
     """
@@ -334,6 +335,8 @@ class LevySymbol(_TimeSymbol):
         self.order = float(2 * k + gamma)
         self.breakpoints = breaks
         self.density = table
+        if np.max(self._eval_pieces(self.nodes).real) > -self.N0:
+            raise ValueError("Re psi exceeds -N0 at a unit-sphere node in some time piece")
 
     @property
     def family(self):

@@ -76,6 +76,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_levy_density_below_the_n0_margin_is_a_usage_error(self, tmp_path,
+                                                              capsys):
+        # Re psi = -(0.02 + 0.03) on |xi| = 1, short of the default N0 = 0.1
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "levy", "k": 0, "gamma": 0.5, "d": 1,
+                        "density": {"breakpoints": [0.0, 0.5],
+                                    "table": [[1.0, 1.0], [0.02, 0.03]]}}}))
+        rc = main(["lp-ratio", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "N0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "lp-ratio.csv").exists()
+
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["lp-ratio", "--config", str(tmp_path / "none.json"),
                    "--out", str(tmp_path)])
@@ -176,6 +191,34 @@ class TestSuites:
         for row in rows[1:]:
             assert np.isfinite(float(row[4]))
             assert np.isfinite(float(row[5]))
+
+    def test_sharp_bound_takes_one_sharp_function_per_entry(
+            self, tmp_path, cli_config, monkeypatch):
+        real = ps.maximal._sharp_core
+        seen = []
+
+        def counting(arr, *args):
+            seen.append(arr.shape)
+            return real(arr, *args)
+
+        monkeypatch.setattr("paleyscope.maximal._sharp_core", counting)
+        rc = main(["sharp-bound", "--config", str(cli_config),
+                   "--out", str(tmp_path), "--threads", "1"])
+        assert rc == 0
+        # four corpus entries, one sharp function each for both ratios
+        assert len(seen) == 4
+
+    @pytest.mark.parametrize("suite", ["sharp-bound", "lp-ratio"])
+    def test_report_bytes_do_not_depend_on_threads(self, tmp_path, cli_config,
+                                                   suite):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            rc = main([suite, "--config", str(cli_config), "--out", str(out),
+                       "--threads", threads])
+            assert rc == 0
+            reports.append((out / f"{suite}.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_sharp_bound_in_two_dimensions(self, tmp_path):
         path = tmp_path / "a.json"

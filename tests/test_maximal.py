@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope.maximal import _window_means
+from paleyscope.maximal import _sharp_bound_ratios, _window_means
 
 
 def _wrap_window_means_1d(arr, k):
@@ -278,3 +278,27 @@ class TestOscillationNormRatio:
                            values=np.linspace(0, 1, 8 * 32).reshape(8, 32))
         with pytest.raises(ValueError):
             ps.fefferman_stein_check(g, 1.0, 0.5)
+
+
+class TestSharpBoundRatios:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_sharp_function_feeds_both_ratios(self, biharm, heat, d):
+        sym = biharm if d == 1 else heat
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=20.0)
+        f = ps.corpus_entry(grid, 16, 1)
+        G = ps.square_function(sym, sym.order / 2, f)
+        delta0 = 1.0 / sym.order
+        sup, fs = _sharp_bound_ratios(G, f, 3.0, delta0)
+        # a constant shift leaves the RMS oscillation unchanged up to rounding
+        assert sup == pytest.approx(ps.sharp_bound_ratio(G, f, delta0), rel=1e-13)
+        assert fs == ps.fefferman_stein_check(G, 3.0, delta0)
+
+    def test_constant_field_and_small_p_raise(self, heat):
+        grid = ps.SpaceGrid(d=1, n=32, L=20.0)
+        f = ps.corpus_entry(grid, 8, 0)
+        g = ps.SquareField(grid=grid, t0=0.0, dt=f.dt, values=np.ones((8, 32)))
+        with pytest.raises(ps.DegenerateFieldError):
+            _sharp_bound_ratios(g, f, 2.0, 0.5)
+        G = ps.square_function(heat, 1.0, f)
+        with pytest.raises(ValueError):
+            _sharp_bound_ratios(G, f, 1.0, 0.5)

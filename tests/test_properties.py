@@ -1,4 +1,5 @@
-"""Properties of the step factor e_i = exp(I[i] - I[i-1]) over all three families."""
+"""Properties of the step factor e_i = exp(I[i] - I[i-1]) and of the square
+function built on it, over all three families."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,11 +33,15 @@ def symbols(draw):
         m = draw(st.sampled_from([1, 2]))
         a = [complex(draw(re), draw(im)) for _ in range(pieces)]
         return ps.PolyFormSymbol(m=m, coeffs={((m,), (m,)): (breaks, a)}, nu=NU)
-    table = [[draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))]
-             for _ in range(pieces)]
+    # on |xi| = 1, Re psi = -(m(-1) + m(+1)); every row with a positive sum
+    # gives a symbol, with the margin N0 set to the smallest sum
+    row = st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2).filter(
+        lambda m: m[0] + m[1] > 0)
+    table = [draw(row) for _ in range(pieces)]
     return ps.LevySymbol(k=draw(st.sampled_from([0, 1])),
                          gamma=draw(st.floats(0.2, 1.8)), d=1,
-                         density=(breaks, table))
+                         density=(breaks, table),
+                         N0=min(m[0] + m[1] for m in table))
 
 
 @st.composite
@@ -99,3 +104,18 @@ def test_recursion_is_causal(case, data):
     np.testing.assert_array_equal(u[i - 1], u2[i - 1])
     if i < f.nt - 1:
         assert not np.array_equal(u[i], u2[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=propagators(), data=st.data())
+def test_square_function_is_causal(case, data):
+    # G(t_i) reads slices j <= i only, bit for bit
+    sym, f, _ = case
+    i = data.draw(st.integers(0, f.nt - 2))
+    tampered = f.values.copy()
+    tampered[i + 1:] += 7.7 + np.arange(f.grid.n) * 0.1j
+    g = ps.square_function(sym, 0.0, f).values
+    g2 = ps.square_function(sym, 0.0, ps.SpaceTimeField(
+        grid=f.grid, t0=f.t0, dt=f.dt, values=tampered)).values
+    np.testing.assert_array_equal(g[: i + 1], g2[: i + 1])
+    assert not np.array_equal(g[i + 1], g2[i + 1])

@@ -85,6 +85,18 @@ class TestTransforms:
         back = ps.to_space(ps.to_frequency(f))
         np.testing.assert_allclose(back.values, v, atol=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_folded_inverse_factor_matches_to_space(self, d):
+        g = ps.SpaceGrid(d=d, n=16, L=7.0)
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((3, 2) + g.shape) + 0j
+        f = ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v)
+        prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5), f)
+        got = prop.ifft(prop.inverse_factor(0.3) * prop.fhat)
+        np.testing.assert_allclose(got, 0.3 * prop.to_space(prop.fhat),
+                                   rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(got, 0.3 * v, atol=1e-13)
+
 
 class TestMultipliers:
     def test_fractional_multiplier_zero_mode(self, grid):

@@ -112,6 +112,42 @@ def _two_piece_families(d):
     ]
 
 
+def _square_function_reference(sym, eta, f):
+    """G f by the direct per-time loop: every exp(I[i] - I[j]) formed anew,
+    every (i, j) pair transformed on its own multiplier."""
+    g = f.grid
+    prop = ps.Propagator(sym, f)
+    riesz = ps.fractional_multiplier(g, eta)
+    out = np.zeros((f.nt,) + g.shape)
+    for i in range(1, f.nt):
+        mult = riesz[None, ...] * prop.decay(i, i + 1)  # (i+1,) + shape
+        amp = prop.to_space(mult[:, None, ...] * prop.fhat[: i + 1])
+        w = np.full(i + 1, f.dt)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        out[i] = np.sqrt(np.einsum("j,jk...->...", w, np.abs(amp) ** 2))
+    return out
+
+
+class TestCarriedRecursion:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    @pytest.mark.parametrize("eta_scale", [0.0, 0.5])
+    def test_matches_the_direct_loop(self, d, family, eta_scale):
+        # the step 0.07 puts the symbols' breakpoint 0.5 inside a step
+        sym = _two_piece_families(d)[family]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        rng = np.random.default_rng(5 + d)
+        shape = (13, 3) + grid.shape
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.07, values=vals)
+        eta = eta_scale * sym.order
+        got = ps.square_function(sym, eta, f).values
+        np.testing.assert_allclose(got, _square_function_reference(sym, eta, f),
+                                   rtol=1e-12)
+
+
 class TestParsevalNorm:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", [0, 1, 2],

@@ -137,6 +137,18 @@ class TestLevy:
         with pytest.raises(ValueError):
             ps.LevySymbol(k=0, gamma=0.5, density=([0.0], [[1.0, -1.0]]), d=1)
 
+    def test_negativity_margin_checked_in_every_piece(self):
+        # the second piece gives Re psi = -0.05 on |xi| = 1
+        table = [[1.0, 1.0], [0.02, 0.03]]
+        with pytest.raises(ValueError, match="N0"):
+            ps.LevySymbol(k=0, gamma=0.5, density=([0.0, 0.5], table), d=1)
+        sym = ps.LevySymbol(k=0, gamma=0.5, density=([0.0, 0.5], table), d=1,
+                            N0=0.04)
+        assert sym.N0 == 0.04
+        circle = np.zeros((1, 64))
+        with pytest.raises(ValueError, match="N0"):
+            ps.LevySymbol(k=1, gamma=1.0, density=([0.0], circle), d=2, nodes=64)
+
     def test_cancellation_vector(self):
         sym = ps.LevySymbol(k=0, gamma=1.0, density=([0.0], [[1.0, 1.0]]), d=1)
         assert ps.check_levy_cancellation(sym, 0.0) == pytest.approx([0.0])
