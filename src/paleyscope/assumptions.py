@@ -14,9 +14,10 @@ instantiation sets every kappa_i = 1/gamma with sigma values listed in
 moment exponents mu_i are free within their windows.
 
 Everything algebraic runs in exact rational arithmetic (fractions.Fraction);
-floating point appears only in quadratures: the envelope synthesis, the
-moment integrals, and the squared-kernel time integral whose value is the
-uniform constant C0.
+floating point appears in the quadratures of the envelope synthesis and the
+moment integrals.  The squared-kernel time integral whose value is the
+uniform constant C0 is no quadrature: the symbols are piecewise constant in
+time, so it is a finite sum of exponentials, one per time piece.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import Field, to_space
-from .squarefn import _gl8_nodes
+from .spectral import Field, fractional_multiplier, to_space
+from .symbols import _piece_index
 
 __all__ = [
     "as_fraction",
@@ -278,10 +279,7 @@ def synthesize_envelopes(sym, gamma, grid, s, t):
     xi = grid.xi_grid()
     m_values = sym.time_integral(float(s), float(t), xi * scale)
     psi_t = sym.eval(float(t), xi * scale)
-    absxi = grid.abs_xi()
-    riesz = absxi ** (gamma / 2.0)
-    riesz[absxi == 0] = 0.0
-    base = riesz * np.exp(m_values)
+    base = fractional_multiplier(grid, gamma / 2.0) * np.exp(m_values)
 
     f1 = np.zeros(grid.shape)
     for i in range(grid.d):
@@ -360,75 +358,39 @@ def moment_integral(F, mu, cutoffs=None, tol=1e-6):
                         rel_change=float(rel), tol=tol)
 
 
-def _integral_on_edges(gfun, edges):
-    x0, w0 = _gl8_nodes()
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * x0[None, :]
-    vals = gfun(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals * widths[:, None] * w0[None, :]))
-
-
-def _adaptive_decay_integral(gfun, upper, rel_tol):
-    """Quadrature of a smooth decaying integrand on [0, upper].
-
-    Geometric panels refined by midpoint insertion until two successive
-    values agree to ``rel_tol`` relatively.
-    """
-    m = 24
-    edges = np.concatenate([[0.0], upper * 2.0 ** np.arange(1 - m, 1.0)])
-    prev = _integral_on_edges(gfun, edges)
-    for _ in range(8):
-        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        cur = _integral_on_edges(gfun, edges)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
-
-
-def assumption1_profile(sym, eta, xi_samples, s=0.0, rel_tol=1e-8):
+def assumption1_profile(sym, eta, xi_samples, s=0.0):
     """Per-sample values of int_s^inf |xi|^(2 eta) exp(2 Re int_s^t psi) dt.
 
-    Returns one value per frequency sample; a sample where the integrand
-    fails to decay reports inf rather than raising, so non-elliptic inputs
-    surface as divergence.  The zero frequency yields 0 when eta > 0 and inf
-    when eta = 0.
+    The symbol is constant on each time piece, so the integrand is one
+    exponential per piece and the integral is a finite sum, exact up to
+    rounding.  A sample whose last piece does not decay reports inf rather
+    than raising, so non-elliptic inputs surface as divergence.  The zero
+    frequency yields 0 when eta > 0 and inf when eta = 0.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=float))
-    out = []
-    probe_times = [s] + [float(b) for b in sym.breakpoints if b > s]
-    for xi in xi_samples:
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
-            out.append(0.0 if eta > 0 else math.inf)
-            continue
-        rate = max(-sym.eval(t, xi).real for t in probe_times)
-        if rate <= 0.0:
-            out.append(math.inf)
-            continue
-
-        def gfun(u, xi=xi, r=r):
-            integral = sym.time_integral(s, s + np.asarray(u), xi)
-            return r ** (2 * eta) * np.exp(2.0 * integral.real)
-
-        upper = 1.0 / rate
-        head = r ** (2 * eta)
-        grew = False
-        while float(gfun(np.array([upper]))[0]) > 1e-18 * head:
-            upper *= 2.0
-            if upper > 1e12:
-                grew = True
-                break
-        if grew:
-            out.append(math.inf)
-            continue
-        out.append(_adaptive_decay_integral(gfun, upper, rel_tol))
-    return np.array(out)
+    r = np.linalg.norm(xi_samples, axis=-1)
+    breaks, pieces = sym.piecewise_values(xi_samples)
+    # the pieces met from s on; the first piece extends to -inf, so s may
+    # precede the first breakpoint
+    first = int(_piece_index(breaks, s))
+    c = -2.0 * pieces[first:].real                      # decay rates, (K, samples)
+    lengths = np.diff(np.concatenate([[s], breaks[first + 1:]]))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # with x_k = c_k l_k and A_k = -(x_0 + ... + x_{k-1}), a finite
+        # piece adds exp(A_k) l_k (1 - exp(-x_k)) / x_k, where the fraction
+        # is 1 once x_k rounds to 0; the last piece adds exp(A_K) / c_K
+        x = c[:-1] * lengths
+        finite = lengths * np.where(x == 0, 1.0, -np.expm1(-x) / x)
+        last = np.where(c[-1] > 0, 1.0 / c[-1], np.inf)
+        A = np.concatenate([np.zeros((1, c.shape[1])), -np.cumsum(x, axis=0)])
+        total = np.sum(np.exp(A[:-1]) * finite, axis=0) + np.exp(A[-1]) * last
+        out = r ** (2 * eta) * total
+    out[r == 0] = 0.0 if eta > 0 else math.inf
+    return out
 
 
-def verify_assumption1(sym, eta, xi_samples, s=0.0, rel_tol=1e-8):
+def verify_assumption1(sym, eta, xi_samples, s=0.0):
     """Sup over samples of the squared-kernel time integral (the constant C0)."""
-    return float(np.max(assumption1_profile(sym, eta, xi_samples, s=s,
-                                            rel_tol=rel_tol)))
+    return float(np.max(assumption1_profile(sym, eta, xi_samples, s=s)))

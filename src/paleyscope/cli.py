@@ -36,7 +36,7 @@ from .assumptions import (
     theorem_exponents,
     verify_assumption1,
 )
-from .corpus import DEFAULT_SEED, make_corpus
+from .corpus import DEFAULT_SEED, corpus_entry, make_corpus
 from .maximal import _sharp_bound_ratios
 from .spde import (
     NoiseSpec,
@@ -145,10 +145,14 @@ def build_symbol(block):
 
 
 def _number(kind, value, what):
+    """``kind(value)``, refused unless finite (JSON input may hold NaN or Infinity)."""
     try:
-        return kind(value)
+        out = kind(value)
+        if math.isfinite(out):
+            return out
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def _block(doc, name, kinds, defaults):
@@ -393,9 +397,7 @@ def _suite_spde(cfg, out_dir):
     grid = cfg.grid
     K, M, seed = cfg.mc["K"], cfg.mc["M"], cfg.mc["seed"]
     entry = cfg.mc["entry"]
-    fields = make_corpus(grid, cfg.nt, count=entry + 1, t_window=cfg.t_window,
-                         seed=cfg.corpus["seed"])
-    f = fields[entry]
+    f = corpus_entry(grid, cfg.nt, entry, t_window=cfg.t_window, seed=cfg.corpus["seed"])
     if f.k_h != K:
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
     spec = NoiseSpec(K=K, seed=seed, dt=f.dt, nt=cfg.nt)

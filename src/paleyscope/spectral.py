@@ -27,8 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .symbols import _piece_overlaps
-
 __all__ = [
     "SpaceGrid",
     "Field",
@@ -271,20 +269,12 @@ def synthesize_kernel(kmult):
 def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
     """I[j] = int_{t0}^{t0 + j dt} psi(r, xi) dr on the grid, shape (nt,) + grid.shape.
 
-    One symbol evaluation per time piece; the time dependence enters through
-    scalar overlap weights, so the cost is O(P * n^d) rather than O(nt * n^d)
-    symbol evaluations.
+    One symbol evaluation per time piece (``time_integral``), so the cost is
+    O(P * nt * n^d) multiply-adds and O(P * n^d) symbol evaluations.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
-    xi = grid.xi_grid()
-    breaks, pieces = sym.piecewise_values(xi)
-    out = np.zeros((nt,) + grid.shape, dtype=complex)
-    times = t0 + dt * np.arange(nt)
-    w = _piece_overlaps(breaks, t0, times)      # (P, nt)
-    for j in range(1, nt):
-        out[j] = np.einsum("p,p...->...", w[:, j], pieces)
-    return out
+    return sym.time_integral(t0, t0 + dt * np.arange(nt), grid.xi_grid())
 
 
 class Propagator:

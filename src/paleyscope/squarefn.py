@@ -220,20 +220,16 @@ def lp_ratio(sym, eta, f, p):
                     nt=f.nt, dt=f.dt)
 
 
-def _gl8_nodes():
-    x, w = np.polynomial.legendre.leggauss(8)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _semigroup_time_quadrature(first, panels):
-    """Gauss nodes and weights on geometrically doubling panels from 0."""
+    """8-point Gauss nodes and weights on geometrically doubling panels from 0."""
     edges = [0.0]
     width = first
     for _ in range(panels):
         edges.append(edges[-1] + width)
         width *= 2.0
     edges = np.asarray(edges)
-    x0, w0 = _gl8_nodes()
+    x, w = np.polynomial.legendre.leggauss(8)
+    x0, w0 = 0.5 * (x + 1.0), 0.5 * w
     nodes = edges[:-1, None] + np.diff(edges)[:, None] * x0[None, :]
     weights = np.diff(edges)[:, None] * w0[None, :]
     return nodes.ravel(), weights.ravel()
@@ -272,12 +268,12 @@ def elliptic_square_function(f, gamma, p):
         q = float(np.sum(weights * np.exp(-2.0 * nodes)))
         norm_G = float(np.sqrt(q)) * norm_f
     else:
-        rate = np.where(mask, g.abs_xi() ** (2.0 * gamma), 0.0)
+        rate = fractional_multiplier(g, 2.0 * gamma)
         r_pos = rate[mask]
         first = 0.01 / float(np.max(r_pos))
         panels = int(np.ceil(np.log2(15.0 / float(np.min(r_pos)) / first))) + 1
         nodes, weights = _semigroup_time_quadrature(first=first, panels=panels)
-        riesz = np.where(mask, g.abs_xi() ** gamma, 0.0)
+        riesz = fractional_multiplier(g, gamma)
         Gsq = np.zeros(g.shape)
         for t, w in zip(nodes, weights):
             mult = riesz * np.exp(-t * rate) * mask

@@ -63,6 +63,11 @@ def _as_pieces(obj):
     return breaks, values
 
 
+def _piece_index(breaks, t):
+    """Index of the piece containing each time in ``t``, clamped to the table."""
+    return np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, len(breaks) - 1)
+
+
 def _piece_overlaps(breaks, s, t):
     """Overlap lengths of [s, t] with each piece, shape (P,) + shape(t).
 
@@ -114,27 +119,25 @@ class _TimeSymbol:
     def eval(self, t, xi):
         """psi(t, xi) for scalar t, vectorized over the batch axes of xi."""
         xi = self._require_dim(xi)
-        idx = int(np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                          0, len(self.breakpoints) - 1))
-        return self._eval_pieces(xi)[idx]
+        return self._eval_pieces(xi)[int(_piece_index(self.breakpoints, t))]
 
     def time_integral(self, s, t, xi):
-        """Exact integral of psi(r, xi) dr over [s, t].
+        """Exact integral of psi(r, xi) dr over [s, t], shape shape(t) + batch.
 
-        ``t`` may be an array when ``xi`` is a single frequency vector; the
-        batched-``xi`` path requires scalar ``t``.  Raises on s > t.
+        ``t`` is a scalar or an array of end times, each at least ``s``;
+        ``batch`` is the shape of ``xi`` without its last (vector) axis.  The
+        sum runs over the time pieces: each adds its overlap with [s, t]
+        times its symbol values.  Raises on s > t.
         """
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < s):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < s):
             raise ValueError("time integral requires s <= t")
-        xi = self._require_dim(xi)
-        w = _piece_overlaps(self.breakpoints, s, t_arr)
-        vals = self._eval_pieces(xi)
-        if t_arr.ndim == 0:
-            return np.einsum("p,p...->...", w, vals)
-        if vals.ndim == 1:
-            return np.einsum("p...,p->...", w, vals)
-        raise ValueError("array-valued t is only supported for a single frequency vector")
+        breaks, vals = self.piecewise_values(xi)
+        w = _piece_overlaps(breaks, s, t)
+        out = np.multiply.outer(w[0], vals[0])
+        for wp, vp in zip(w[1:], vals[1:]):
+            out += np.multiply.outer(wp, vp)
+        return out
 
 
 class FractionalSymbol(_TimeSymbol):
@@ -222,8 +225,7 @@ class PolyFormSymbol(_TimeSymbol):
         breaks = np.unique(np.concatenate([b for b, _ in tables]))
         merged = np.empty((len(breaks), len(pairs)), dtype=complex)
         for r, (b, v) in enumerate(tables):
-            idx = np.clip(np.searchsorted(b, breaks, side="right") - 1, 0, len(b) - 1)
-            merged[:, r] = v[idx]
+            merged[:, r] = v[_piece_index(b, breaks)]
         self.m = m
         self.nu = float(nu)
         self.dim = d
@@ -305,17 +307,14 @@ class LevySymbol(_TimeSymbol):
             raise ValueError("gamma must lie in (0, 2)")
         if d not in (1, 2):
             raise ValueError("LevySymbol supports d in {1, 2}")
-        if min(c1, c2, N0) <= 0:
-            raise ValueError("c1, c2, N0 must be positive")
-        breaks, table = density
-        breaks = np.asarray(breaks, dtype=float)
-        table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.shape[0] != breaks.shape[0]:
-            raise ValueError("density table must have shape (len(breakpoints), nodes)")
-        if np.any(np.diff(breaks) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(table < 0) or not np.all(np.isfinite(table)):
-            raise ValueError("density values must be finite and nonnegative")
+        if not all(math.isfinite(v) and v > 0 for v in (c1, c2, N0)):
+            raise ValueError("c1, c2, N0 must be finite and positive")
+        breaks, table = _as_pieces(density)
+        if table.ndim != 2 or np.any(table.imag != 0):
+            raise ValueError("density table must be real with shape (len(breakpoints), nodes)")
+        table = table.real
+        if np.any(table < 0):
+            raise ValueError("density values must be nonnegative")
         if d == 1:
             if table.shape[1] != 2:
                 raise ValueError("d=1 density table needs exactly the two nodes (-1, +1)")
@@ -515,7 +514,5 @@ def check_levy_cancellation(sym, t):
         raise TypeError("cancellation check applies to LevySymbol only")
     if sym.gamma != 1.0:
         raise ValueError("cancellation check is defined for gamma = 1")
-    idx = int(np.clip(np.searchsorted(sym.breakpoints, t, side="right") - 1,
-                      0, len(sym.breakpoints) - 1))
-    m = sym.density[idx]
+    m = sym.density[int(_piece_index(sym.breakpoints, t))]
     return np.einsum("q,q,qd->d", sym.weights, m, sym.nodes)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import paleyscope as ps
 
@@ -13,6 +14,29 @@ XI_2D = [
     for r in (0.5, 2.0)
     for a in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
 ]
+
+
+def quad_profile(sym, eta, xi, s):
+    """int_s^inf |xi|^(2 eta) exp(2 Re int_s^t psi) dt for one frequency vector,
+    by adaptive quadrature on each time piece.
+
+    The unbounded last piece is integrated in u = c (t - b), with c its decay
+    rate -2 Re psi, so that slow decay does not defeat the quadrature.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    weight = np.linalg.norm(xi) ** (2 * eta)
+
+    def integrand(t):
+        return weight * np.exp(2.0 * ps.symbol_time_integral(sym, s, t, xi).real)
+
+    def piece(f, a, b):
+        return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    edges = [s, *(float(b) for b in sym.breakpoints if b > s)]
+    last = edges[-1]
+    rate = -2.0 * ps.eval_symbol(sym, last, xi).real
+    tail = piece(lambda u: integrand(last + u / rate), 0.0, np.inf) / rate
+    return sum(piece(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])) + tail
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 
 import paleyscope as ps
 
+from conftest import quad_profile
+
 
 class TestFractions:
     def test_as_fraction_forms(self):
@@ -211,3 +213,38 @@ class TestDecayConstant:
     def test_zero_eta_at_origin_is_infinite(self, heat):
         prof = ps.assumption1_profile(heat, 0.0, [[0.0]])
         assert np.isinf(prof[0])
+
+
+PIECEWISE_SYMBOLS = {
+    "complex-fractional-3": (
+        ps.FractionalSymbol(gamma=1.5, nu=0.5, a=([0.0, 0.4, 1.0],
+                                                 [1.0 + 0.5j, 1.6 - 0.3j, 0.8 + 0.2j])),
+        [[0.25], [0.5], [1.0], [-1.5], [2.0]]),
+    "first-break-after-s": (
+        ps.FractionalSymbol(gamma=2.0, a=([0.5, 1.0], [1.0, 1.5]), nu=0.5),
+        [[0.5], [1.0], [-2.0]]),
+    "polyform-2": (
+        ps.PolyFormSymbol(m=2, coeffs={((2,), (2,)): ([0.0, 0.5], [1.0, 2.0 - 0.4j])},
+                          nu=0.4),
+        [[0.5], [1.0], [-1.25]]),
+    "levy-d2-k1": (
+        ps.LevySymbol(k=1, gamma=0.5, d=2, nodes=16, density=(
+            [0.0, 0.5], [1.0 + 0.5 * np.cos(2 * np.pi * np.arange(16) / 16),
+                         np.full(16, 0.3)])),
+        [[0.5, 0.1], [0.3, -0.6], [-1.0, 0.8]]),
+    # c l rounds to 0 on the first piece, which must still add its length
+    "levy-subnormal-rate": (
+        ps.LevySymbol(k=0, gamma=1.0, d=1, N0=5e-324,
+                      density=([0.0, 0.5], [[0.0, 5e-324], [0.0, 0.25]])),
+        [[1.0], [-0.5]]),
+}
+
+
+@pytest.mark.parametrize("s", [-0.3, 0.2, 0.5, 1.7])
+@pytest.mark.parametrize("name", sorted(PIECEWISE_SYMBOLS))
+def test_decay_constant_matches_piecewise_quadrature(name, s):
+    sym, xi = PIECEWISE_SYMBOLS[name]
+    eta = sym.order / 2
+    prof = ps.assumption1_profile(sym, eta, xi, s=s)
+    want = [quad_profile(sym, eta, v, s) for v in xi]
+    np.testing.assert_allclose(prof, want, rtol=1e-9, atol=0.0)

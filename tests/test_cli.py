@@ -76,6 +76,33 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("suite, block", [
+        ("lp-ratio", {"p_list": [float("nan")]}),
+        ("lp-ratio", {"p_list": [float("inf")]}),
+        ("lp-ratio", {"eta": float("nan")}),
+        ("assumptions", {"nu": float("nan")}),
+        ("kernel-dump", {"kernel": {"s": float("nan")}}),
+        ("kernel-dump", {"kernel": {"t": float("nan")}}),
+        ("kernel-dump", {"kernel": {"eta": float("nan")}}),
+        ("spde", {"tolerances": {"isometry": float("nan")}}),
+        ("lp-ratio", {"symbol": {"family": "levy", "k": 0, "gamma": 0.5, "d": 1,
+                                 "c1": float("nan"),
+                                 "density": {"breakpoints": [0.0],
+                                             "table": [[1.0, 1.0]]}}}),
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, tmp_path, capsys, suite,
+                                                 block):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "fractional", "gamma": 2.0}, **block}))
+        out = tmp_path / "out"
+        rc = main([suite, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_levy_density_below_the_n0_margin_is_a_usage_error(self, tmp_path,
                                                               capsys):
         # Re psi = -(0.02 + 0.03) on |xi| = 1, short of the default N0 = 0.1

@@ -1,12 +1,15 @@
-"""Properties of the step factor e_i = exp(I[i] - I[i-1]) and of the square
-function built on it, over all three families."""
+"""Properties of the step factor e_i = exp(I[i] - I[i-1]), of the square
+function built on it and of the piece-table time integrals, over all three
+families."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import paleyscope as ps
 from paleyscope import spde
+
+from conftest import quad_profile
 
 EPS = np.finfo(float).eps
 NU = 0.5
@@ -119,3 +122,31 @@ def test_square_function_is_causal(case, data):
         grid=f.grid, t0=f.t0, dt=f.dt, values=tampered)).values
     np.testing.assert_array_equal(g[: i + 1], g2[: i + 1])
     assert not np.array_equal(g[i + 1], g2[i + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(sym=symbols(), n=st.sampled_from([8, 16]), t0=st.floats(-0.5, 1.0),
+       dt=st.floats(0.01, 0.3), nt=st.integers(1, 12))
+def test_cumulative_integrals_are_per_time_integrals(sym, n, t0, dt, nt):
+    grid = ps.SpaceGrid(d=1, n=n, L=10.0)
+    rows = ps.cumulative_symbol_integrals(sym, grid, t0, dt, nt)
+    times = t0 + dt * np.arange(nt)
+    for row, t in zip(rows, times):
+        np.testing.assert_array_equal(row, sym.time_integral(t0, t, grid.xi_grid()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sym=symbols(), data=st.data(),
+       xi=st.lists(st.floats(0.2, 3.0) | st.floats(-3.0, -0.2), min_size=1, max_size=3))
+def test_decay_constant_matches_piecewise_quadrature(sym, data, xi):
+    # a Levy margin N0 near the float range puts C0 near overflow, where the
+    # quadrature cannot resolve 1e-9 (tests/test_assumptions.py keeps one
+    # subnormal rate on a finite piece)
+    assume(getattr(sym, "N0", 1.0) >= 1e-100)
+    # s before the first breakpoint, between them, on one, or past the last
+    s = data.draw(st.floats(-0.5, 2.5) | st.sampled_from(list(sym.breakpoints)))
+    eta = sym.order / 2
+    samples = [[v] for v in xi]
+    want = [quad_profile(sym, eta, v, s) for v in samples]
+    np.testing.assert_allclose(ps.assumption1_profile(sym, eta, samples, s=s),
+                               want, rtol=1e-9, atol=0.0)

@@ -149,6 +149,19 @@ class TestLevy:
         with pytest.raises(ValueError, match="N0"):
             ps.LevySymbol(k=1, gamma=1.0, density=([0.0], circle), d=2, nodes=64)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"c1": np.nan}, {"c2": np.nan}, {"N0": np.nan}, {"c1": np.inf},
+        {"c2": np.inf}, {"N0": 0.0},
+        {"density": ([0.0, np.nan], [[1.0, 1.0], [1.0, 1.0]])},
+        {"density": ([0.0, np.inf], [[1.0, 1.0], [1.0, 1.0]])},
+        {"density": ([0.5, 0.0], [[1.0, 1.0], [1.0, 1.0]])},
+        {"density": ([0.0], [[1.0, np.nan]])},
+    ])
+    def test_non_finite_constants_and_breakpoints_rejected(self, kwargs):
+        args = {"k": 0, "gamma": 0.5, "d": 1, "density": ([0.0], [[1.0, 1.0]])}
+        with pytest.raises(ValueError):
+            ps.LevySymbol(**{**args, **kwargs})
+
     def test_cancellation_vector(self):
         sym = ps.LevySymbol(k=0, gamma=1.0, density=([0.0], [[1.0, 1.0]]), d=1)
         assert ps.check_levy_cancellation(sym, 0.0) == pytest.approx([0.0])
