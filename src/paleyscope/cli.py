@@ -27,6 +27,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -87,86 +88,97 @@ class ExperimentConfig:
     sha256: str
 
 
-def _complexify(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(u, (int, float)) for u in v):
-        return complex(v[0], v[1])
-    raise ConfigError(f"expected a number or [re, im] pair, got {v!r}")
+def _number(kind, value, what, low=None, strict=False):
+    """``value`` as ``kind`` (int or float): a finite JSON number, integral for
+    int, at least ``low`` (above it when ``strict``); bools and strings refused."""
+    try:
+        ok = (type(value) in (int, float) and math.isfinite(value)
+              and (kind is float or float(value).is_integer()))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ConfigError(f"{what} must be {'>' if strict else '>='} {low}, got {value!r}")
+    return kind(value)
 
 
-def _coeff_from_json(v):
-    """Piecewise coefficient from a scalar, [re, im], or a table block."""
+# dotted key -> (kind, default, lower bound, strict).  A callable default is
+# derived from the symbol; a tuple default marks a nonempty list of numbers.
+# SpaceGrid checks grid.d, grid.n and grid.L itself.
+_KEYS = {
+    "grid.d": (int, 1, None, False),
+    "grid.n": (int, 128, None, False),
+    "grid.L": (float, 20.0, None, False),
+    "grid.nt": (int, 128, 2, False),
+    "grid.t_window": (float, 1.0, 0.0, True),
+    "corpus.count": (int, 20, 1, False),
+    "corpus.seed": (int, DEFAULT_SEED, 0, False),
+    "p_list": (float, (2.0,), 1.0, False),
+    "mc.M": (int, 4096, 2, False),
+    "mc.K": (int, 3, 1, False),
+    "mc.seed": (int, 777, 0, False),
+    "mc.entry": (int, 1, 0, False),
+    "kernel.s": (float, 0.0, None, False),
+    "kernel.t": (float, 0.1, None, False),
+    "kernel.eta": (float, 0.0, 0.0, False),
+    "eta": (float, lambda sym: sym.order / 2.0, 0.0, False),
+    "nu": (float, lambda sym: sym.nu, 0.0, True),
+    "tolerances.isometry": (float, 0.05, 0.0, True),
+    "tolerances.kurtosis": (float, 0.15, 0.0, True),
+}
+
+
+def _floats(v, what):
+    """Nested lists of numbers as a float array."""
+    return np.array([_floats(u, what) if isinstance(u, list) else _number(float, u, what)
+                     for u in v])
+
+
+def _coefficient(v, what):
+    """Piecewise coefficient from a number, an [re, im] pair, or a table block."""
     if isinstance(v, dict):
-        try:
-            breaks = [float(b) for b in v["breakpoints"]]
-            values = [_complexify(x) for x in v["values"]]
-        except KeyError as e:
-            raise ConfigError(f"coefficient table missing key {e}") from None
-        return (np.array(breaks), np.array(values))
-    return _complexify(v)
+        return _floats(v["breakpoints"], what), [_coefficient(x, what) for x in v["values"]]
+    pair = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    return complex(*(_number(float, u, what) for u in pair))
+
+
+def _poly_coeffs(items, what):
+    """``{(alpha, beta): coefficient}`` from the polyform ``coeffs`` list."""
+    return {tuple(tuple(_number(int, i, what) for i in item[ab]) for ab in ("alpha", "beta")):
+            _coefficient(item if "breakpoints" in item else item["values"], what)
+            for item in items}
+
+
+# family -> (class, key -> parser); absent keys take the constructor's defaults
+_INT, _FLOAT = partial(_number, int), partial(_number, float)
+_FAMILIES = {
+    "fractional": (FractionalSymbol, {"gamma": _FLOAT, "a": _coefficient, "nu": _FLOAT}),
+    "polyform": (PolyFormSymbol, {"m": _INT, "coeffs": _poly_coeffs, "nu": _FLOAT}),
+    "levy": (LevySymbol, {
+        "k": _INT, "gamma": _FLOAT, "d": _INT, "c1": _FLOAT, "c2": _FLOAT, "N0": _FLOAT,
+        "nodes": _INT, "density": lambda v, w: (_floats(v["breakpoints"], w),
+                                                _floats(v["table"], w))}),
+}
 
 
 def build_symbol(block):
     """Construct a symbol object from its JSON config block."""
-    if not isinstance(block, dict) or "family" not in block:
-        raise ConfigError("symbol block must be an object with a 'family' tag")
-    family = block["family"]
+    family = block.get("family") if isinstance(block, dict) else None
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"symbol block needs a 'family' tag, one of {', '.join(_FAMILIES)}")
+    cls, parsers = _FAMILIES[family]
     try:
-        if family == "fractional":
-            return FractionalSymbol(gamma=float(block["gamma"]),
-                                    a=_coeff_from_json(block.get("a", 1.0)),
-                                    nu=float(block.get("nu", 0.5)))
-        if family == "polyform":
-            coeffs = {}
-            for item in block["coeffs"]:
-                key = (tuple(int(v) for v in item["alpha"]),
-                       tuple(int(v) for v in item["beta"]))
-                if "breakpoints" in item:
-                    coeffs[key] = _coeff_from_json(
-                        {"breakpoints": item["breakpoints"], "values": item["values"]})
-                else:
-                    coeffs[key] = _coeff_from_json(item["values"])
-            return PolyFormSymbol(m=int(block["m"]), coeffs=coeffs,
-                                  nu=float(block.get("nu", 0.5)))
-        if family == "levy":
-            dens = block["density"]
-            density = (np.array([float(b) for b in dens["breakpoints"]]),
-                       np.array(dens["table"], dtype=float))
-            return LevySymbol(k=int(block.get("k", 0)), gamma=float(block["gamma"]),
-                              density=density, d=int(block["d"]),
-                              c1=float(block.get("c1", 1.0)),
-                              c2=float(block.get("c2", 1.0)),
-                              N0=float(block.get("N0", 0.1)),
-                              nodes=int(block.get("nodes", 256)))
-    except (KeyError, TypeError, ValueError) as e:
+        return cls(**{k: parsers[k](v, f"symbol.{k}") for k, v in block.items()
+                      if k != "family"})
+    except KeyError as e:
+        raise ConfigError(f"{family!r} symbol block: unknown or missing key {e}") from None
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid {family!r} symbol block: {e}") from None
-    raise ConfigError(f"unknown symbol family {family!r}")
-
-
-def _number(kind, value, what):
-    """``kind(value)``, refused unless finite (JSON input may hold NaN or Infinity)."""
-    try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
-def _block(doc, name, kinds, defaults):
-    """The object ``doc[name]`` over ``defaults``, its ``kinds`` keys converted."""
-    block = doc.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name!r} must be a JSON object")
-    out = {**defaults, **block}
-    return {k: _number(kinds[k], v, f"{name}.{k}") if k in kinds else v
-            for k, v in out.items()}
 
 
 def load_config(path):
-    """Parse and validate an experiment JSON file."""
+    """Parse and validate an experiment JSON file against ``_KEYS``."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -179,42 +191,40 @@ def load_config(path):
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     sym = build_symbol(doc["symbol"]) if "symbol" in doc else None
-    gblock = _block(doc, "grid", {"d": int, "n": int, "L": float, "nt": int,
-                                  "t_window": float},
-                    {"d": 1, "n": 128, "L": 20.0, "nt": 128, "t_window": 1.0})
+    given = {}  # (block name, key) -> value; '' names the top level
+    for name, value in doc.items():
+        if any(key.startswith(name + ".") for key in _KEYS):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name!r} must be a JSON object")
+            given.update(((name, k), v) for k, v in value.items())
+        elif name != "symbol":
+            given["", name] = value
+    unknown = set(given) - {key.rpartition(".")[::2] for key in _KEYS}
+    if unknown:
+        names = sorted(".".join(filter(None, path)) for path in unknown)
+        raise ConfigError(f"unknown config key(s): {', '.join(names)}")
+    blocks = {}  # block name -> key -> value
+    for key, (kind, default, low, strict) in _KEYS.items():
+        name, _, sub = key.rpartition(".")
+        value = given.get((name, sub))
+        if (name, sub) not in given:
+            value = (default(sym) if sym else None) if callable(default) else default
+        elif isinstance(default, tuple):
+            if not (isinstance(value, list) and value):
+                raise ConfigError(f"{key} must be a nonempty list")
+            value = tuple(_number(kind, p, key, low, strict) for p in value)
+        else:
+            value = _number(kind, value, key, low, strict)
+        blocks.setdefault(name, {})[sub] = value
+    grid, top = blocks["grid"], blocks[""]
     try:
-        grid = SpaceGrid(d=gblock["d"], n=gblock["n"], L=gblock["L"])
+        space = SpaceGrid(d=grid["d"], n=grid["n"], L=grid["L"])
     except ValueError as e:
         raise ConfigError(f"invalid grid block: {e}") from None
-    nt, t_window = gblock["nt"], gblock["t_window"]
-    if nt < 2 or not (t_window > 0 and math.isfinite(t_window)):
-        raise ConfigError("grid block needs nt >= 2 and finite t_window > 0")
-    p_raw = doc.get("p_list", [2.0])
-    if not isinstance(p_raw, list):
-        raise ConfigError("p_list must be a list")
-    p_list = tuple(_number(float, p, "p_list entry") for p in p_raw)
-    if any(p < 1 for p in p_list):
-        raise ConfigError("p_list entries must be >= 1")
-    corpus = _block(doc, "corpus", {"count": int, "seed": int},
-                    {"count": 20, "seed": DEFAULT_SEED})
-    mc = _block(doc, "mc", {"M": int, "K": int, "seed": int, "entry": int},
-                {"M": 4096, "K": 3, "seed": 777, "entry": 1})
-    if mc["M"] < 2 or min(mc["seed"], corpus["seed"]) < 0:
-        raise ConfigError("mc.M must be at least 2 and seeds nonnegative")
-    if corpus["count"] < 1 or mc["entry"] < 0:
-        raise ConfigError("corpus.count must be at least 1 and mc.entry nonnegative")
-    kernel = _block(doc, "kernel", {"s": float, "t": float, "eta": float},
-                    {"s": 0.0, "t": 0.1, "eta": 0.0})
-    nu = doc.get("nu", getattr(sym, "nu", getattr(sym, "N0", 0.5)) if sym else 0.5)
-    eta = doc.get("eta")
-    if eta is None:
-        eta = sym.order / 2.0 if sym is not None else 0.0
-    tolerances = _block(doc, "tolerances", {"isometry": float, "kurtosis": float},
-                        {"isometry": 0.05, "kurtosis": 0.15})
-    return ExperimentConfig(symbol=sym, grid=grid, nt=nt, t_window=t_window,
-                            corpus=corpus, p_list=p_list, mc=mc, kernel=kernel,
-                            eta=_number(float, eta, "eta"), nu=_number(float, nu, "nu"),
-                            tolerances=tolerances,
+    return ExperimentConfig(symbol=sym, grid=space, nt=grid["nt"], t_window=grid["t_window"],
+                            corpus=blocks["corpus"], p_list=top["p_list"], mc=blocks["mc"],
+                            kernel=blocks["kernel"], eta=top["eta"], nu=top["nu"],
+                            tolerances=blocks["tolerances"],
                             sha256=hashlib.sha256(raw).hexdigest())
 
 
@@ -271,28 +281,24 @@ def _xi_samples(d, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
     return np.array(out)
 
 
-def _symbol_dim(sym, grid):
-    return sym.dim if sym.dim is not None else grid.d
-
-
 def _gamma_or_m(sym):
     if isinstance(sym, PolyFormSymbol):
         return sym.m
     return sym.gamma
 
 
-def _suite_symbol(cfg, suite):
-    """The config's symbol, once the grid's aliasing budget at one step is checked."""
+def _suite_symbol(cfg, suite, dt=None):
+    """The config's symbol, once the aliasing budget at ``dt`` (default one step) is checked."""
     if cfg.symbol is None:
         raise ConfigError(f"{suite} suite requires a symbol block")
-    dt = cfg.t_window / (cfg.nt - 1)
+    dt = cfg.t_window / (cfg.nt - 1) if dt is None else dt
     warn_if_underresolved(cfg.grid, cfg.nu, cfg.symbol.order, dt)
     return cfg.symbol
 
 
 def _suite_assumptions(cfg, out_dir):
     sym = _suite_symbol(cfg, "assumptions")
-    d = _symbol_dim(sym, cfg.grid)
+    d = sym.dim or cfg.grid.d  # fractional symbols take the grid's dimension
     gamma = sym.order
     ke = theorem_exponents(Fraction(gamma).limit_denominator(10 ** 9), d)
     xi = _xi_samples(d)
@@ -460,13 +466,10 @@ def _suite_exponents(args, cfg, out_dir):
 
 
 def _suite_kernel_dump(cfg, out_dir):
-    sym = cfg.symbol
-    if sym is None:
-        raise ConfigError("kernel-dump suite requires a symbol block")
     s, t, eta = cfg.kernel["s"], cfg.kernel["t"], cfg.kernel["eta"]
     if t < s:
         raise ConfigError("kernel block requires s <= t")
-    warn_if_underresolved(cfg.grid, cfg.nu, sym.order, max(t - s, 1e-12))
+    sym = _suite_symbol(cfg, "kernel-dump", max(t - s, 1e-12))
     kmult = kernel_hat(sym, s, t, eta, cfg.grid)
     fld = synthesize_kernel(kmult)
     path = os.path.join(out_dir, "kernel.plsf")
@@ -489,23 +492,17 @@ def _suite_kernel_dump(cfg, out_dir):
 def run_experiment(suite, cfg, out_dir, threads=None, args=None):
     """Dispatch one suite; returns True when every asserted check passed."""
     os.makedirs(out_dir, exist_ok=True)
-    if suite == "verify-assumptions":
-        suite = "assumptions"
-    if suite == "assumptions":
-        return _suite_assumptions(cfg, out_dir)
-    if suite == "lp-ratio":
-        return _suite_lp_ratio(cfg, out_dir, threads)
-    if suite == "sharp-bound":
-        return _suite_sharp_bound(cfg, out_dir, threads)
-    if suite == "spde":
-        return _suite_spde(cfg, out_dir)
-    if suite == "exponents":
-        if args is None:
-            args = argparse.Namespace(gamma=None, dim=None)
-        return _suite_exponents(args, cfg, out_dir)
-    if suite == "kernel-dump":
-        return _suite_kernel_dump(cfg, out_dir)
-    raise ConfigError(f"unknown suite {suite!r}")
+    run = {"assumptions": lambda: _suite_assumptions(cfg, out_dir),
+           "lp-ratio": lambda: _suite_lp_ratio(cfg, out_dir, threads),
+           "sharp-bound": lambda: _suite_sharp_bound(cfg, out_dir, threads),
+           "spde": lambda: _suite_spde(cfg, out_dir),
+           "exponents": lambda: _suite_exponents(
+               args or argparse.Namespace(gamma=None, dim=None), cfg, out_dir),
+           "kernel-dump": lambda: _suite_kernel_dump(cfg, out_dir)}
+    run["verify-assumptions"] = run["assumptions"]
+    if suite not in run:
+        raise ConfigError(f"unknown suite {suite!r}")
+    return run[suite]()
 
 
 def _build_parser():
@@ -535,13 +532,11 @@ def main(argv=None):
     if suite is None:
         parser.print_usage(sys.stderr)
         return 2
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("PALEY_THREADS")
-        threads = int(env) if env else 0
-    if threads == 0:
-        threads = min(32, os.cpu_count() or 1)
     try:
+        raw = (os.environ.get("PALEY_THREADS") or "0") if args.threads is None else args.threads
+        if not str(raw).strip().isdecimal():
+            raise ConfigError(f"thread count must be a nonnegative integer, got {raw!r}")
+        threads = int(raw) or min(32, os.cpu_count() or 1)
         cfg = load_config(args.config) if args.config else None
         if cfg is None and suite not in ("exponents",):
             raise ConfigError(f"suite {suite!r} requires --config")

@@ -154,7 +154,7 @@ class FractionalSymbol(_TimeSymbol):
         nu < Re v < 1/nu.
     """
 
-    def __init__(self, gamma, a, nu):
+    def __init__(self, gamma, a=1.0, nu=0.5):
         if not (gamma > 0 and math.isfinite(gamma)):
             raise ValueError("gamma must be positive and finite")
         if not (0 < nu < 1):
@@ -201,7 +201,7 @@ class PolyFormSymbol(_TimeSymbol):
 
     _UNIT_SAMPLES = 32  # circle directions sampled for the d=2 form check
 
-    def __init__(self, m, coeffs, nu):
+    def __init__(self, m, coeffs, nu=0.5):
         if not (isinstance(m, int) and m >= 1):
             raise ValueError("m must be a positive integer")
         if not (0 < nu < 1):
@@ -275,9 +275,11 @@ class LevySymbol(_TimeSymbol):
     """Jump-generator symbol -c1 |xi|^{2k} * sphere quadrature, order 2k+gamma.
 
     For d=1 the sphere is the two-point set {-1, +1} with counting measure
-    (node order (-1, +1)); for d=2 it is the unit circle discretized by
-    ``nodes`` equispaced points with trapezoid weights 2*pi/nodes, which is
-    spectrally accurate for smooth periodic densities.
+    (node order (-1, +1)); for d=2 it is the unit circle discretized by one
+    equispaced node per density column with trapezoid weights 2*pi/nodes,
+    which is spectrally accurate for smooth periodic densities.  A node with
+    |w.xi| <= 4 eps |xi|, the rounding of w and of the dot product, counts
+    as orthogonal to xi, so psi does not depend on how xi is batched.
 
     Parameters
     ----------
@@ -291,16 +293,18 @@ class LevySymbol(_TimeSymbol):
         Spatial dimension, 1 or 2.
     c1, c2 : float
         Positive normalization constants (not pinned by the underlying theory;
-        they rescale time and the odd part).  Default 1.
+        they rescale time and the odd part).  Default 1; at gamma = 1 the odd
+        part is the log branch, which has no c2, so c2 must be 1.
     N0 : float
         Required uniform negativity margin of Re psi on the unit sphere:
         construction raises ValueError unless Re psi <= -N0 at every sphere
-        node in every time piece.
-    nodes : int
-        Circle node count for d=2 (ignored for d=1).
+        node in every time piece.  It is also the symbol's ``nu``.
+    nodes : int or None
+        Circle node count for d=2, which must equal the density table's width
+        (ignored for d=1).
     """
 
-    def __init__(self, k, gamma, density, d, c1=1.0, c2=1.0, N0=0.1, nodes=256):
+    def __init__(self, k, gamma, density, d, c1=1.0, c2=1.0, N0=0.1, nodes=None):
         if not (isinstance(k, int) and k >= 0):
             raise ValueError("k must be a nonnegative integer")
         if not (0.0 < gamma < 2.0):
@@ -309,6 +313,8 @@ class LevySymbol(_TimeSymbol):
             raise ValueError("LevySymbol supports d in {1, 2}")
         if not all(math.isfinite(v) and v > 0 for v in (c1, c2, N0)):
             raise ValueError("c1, c2, N0 must be finite and positive")
+        if gamma == 1.0 and c2 != 1.0:
+            raise ValueError("c2 must be 1 at gamma = 1, where the log branch has no c2")
         breaks, table = _as_pieces(density)
         if table.ndim != 2 or np.any(table.imag != 0):
             raise ValueError("density table must be real with shape (len(breakpoints), nodes)")
@@ -322,6 +328,8 @@ class LevySymbol(_TimeSymbol):
             self.weights = np.array([1.0, 1.0])
         else:
             nq = table.shape[1]
+            if nodes is not None and nodes != nq:
+                raise ValueError(f"nodes={nodes} but the density table has {nq} columns")
             th = 2 * np.pi * np.arange(nq) / nq
             self.nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
             self.weights = np.full(nq, 2 * np.pi / nq)
@@ -330,6 +338,7 @@ class LevySymbol(_TimeSymbol):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.N0 = float(N0)
+        self.nu = self.N0
         self.dim = d
         self.order = float(2 * k + gamma)
         self.breakpoints = breaks
@@ -347,6 +356,8 @@ class LevySymbol(_TimeSymbol):
 
     def _eval_pieces(self, xi):
         dot = xi @ self.nodes.T                       # (..., nodes)
+        tiny = 4.0 * np.finfo(float).eps * np.linalg.norm(xi, axis=-1)
+        dot = np.where(np.abs(dot) <= tiny[..., None], 0.0, dot)
         absdot = np.abs(dot)
         sgn = np.sign(dot)
         if self.gamma == 1.0:
@@ -394,17 +405,11 @@ class EllipticityReport:
 
 def eval_symbol(sym, t, xi):
     """Evaluate psi(t, xi) at a scalar time and a single frequency vector."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        xi = xi.reshape(1)
     return complex(sym.eval(float(t), xi))
 
 
 def symbol_time_integral(sym, s, t, xi):
     """Exact integral of psi(r, xi) over r in [s, t] for one frequency vector."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 0:
-        xi = xi.reshape(1)
     return complex(sym.time_integral(float(s), float(t), xi))
 
 

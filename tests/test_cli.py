@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +67,27 @@ class TestConfig:
         {"corpus": {"seed": -1}},
         {"corpus": {"count": 0}},
         {"mc": {"entry": -1}},
+        {"grid": {"nt": 64.7}},
+        {"mc": {"M": 100.99}},
+        {"grid": {"d": True}},
+        {"grid": {"nt": "64"}},
+        {"symbol": {"family": "polyform", "m": 2.5,
+                    "coeffs": [{"alpha": [2], "beta": [2], "values": 1.0}]}},
+        {"symbol": {"family": "levy", "k": 0.9, "gamma": 0.5, "d": 1,
+                    "density": {"breakpoints": [0.0], "table": [[1.0, 1.0]]}}},
+        {"symbol": {"family": "levy", "k": 0, "gamma": 1.0, "d": 1, "c2": 2.0,
+                    "density": {"breakpoints": [0.0], "table": [[1.0, 1.0]]}}},
+        {"symbol": {"family": "levy", "k": 0, "gamma": 0.5, "d": 2, "nodes": 4,
+                    "density": {"breakpoints": [0.0], "table": [[1.0] * 16]}}},
+        {"p_list": []},
+        {"eta": -1},
+        {"kernel": {"eta": -1}},
+        {"nu": 0},
+        {"mc": {"K": 0}},
+        {"grid": {"N": 64}},
+        {"grid.nt": 64},
+        {"symbol": {"family": "fractional", "gamma": 2.0, "nnu": 0.5}},
+        {"symbol": {"family": [], "gamma": 2.0}},
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, block):
         path = tmp_path / "bad.json"
@@ -75,6 +97,43 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "spde.json").exists()
+
+    @pytest.mark.parametrize("flags, env", [
+        (["--threads", "-1"], None),
+        ([], "-2"),
+        ([], "abc"),
+        ([], "1.5"),
+    ])
+    def test_bad_thread_settings_are_usage_errors(self, tmp_path, capsys,
+                                                  cli_config, monkeypatch,
+                                                  flags, env):
+        if env is None:
+            monkeypatch.delenv("PALEY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PALEY_THREADS", env)
+        rc = main(["lp-ratio", "--config", str(cli_config),
+                   "--out", str(tmp_path), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "lp-ratio.csv").exists()
+
+    def test_readme_config_block_lists_every_key_and_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment configuration", 1)[1]
+        doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        shown = {}
+        for name, value in doc.items():
+            if isinstance(value, dict) and name != "symbol":
+                shown.update((f"{name}.{k}", v) for k, v in value.items())
+            elif name != "symbol":
+                shown[name] = tuple(value) if isinstance(value, list) else value
+        # eta and nu default to values of the symbol, documented in prose
+        assert shown == {k: default for k, (_, default, _, _) in cli._KEYS.items()
+                         if not callable(default)}
+        for key in ("eta", "nu"):
+            assert f"`{key}`" in section
 
     @pytest.mark.parametrize("suite, block", [
         ("lp-ratio", {"p_list": [float("nan")]}),

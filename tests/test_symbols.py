@@ -162,6 +162,39 @@ class TestLevy:
         with pytest.raises(ValueError):
             ps.LevySymbol(**{**args, **kwargs})
 
+    def test_node_count_comes_from_the_table(self):
+        circle = ([0.0], [[1.0] * 16])
+        assert len(ps.LevySymbol(k=0, gamma=0.5, density=circle, d=2).weights) == 16
+        assert len(ps.LevySymbol(k=0, gamma=0.5, density=circle, d=2,
+                                 nodes=16).weights) == 16
+        with pytest.raises(ValueError, match="nodes"):
+            ps.LevySymbol(k=0, gamma=0.5, density=circle, d=2, nodes=4)
+
+    def test_c2_must_be_one_on_the_log_branch(self):
+        line = ([0.0], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="c2"):
+            ps.LevySymbol(k=0, gamma=1.0, density=line, d=1, c2=2.0)
+        assert ps.LevySymbol(k=0, gamma=0.5, density=line, d=1, c2=2.0).c2 == 2.0
+
+    def test_nu_is_the_margin(self):
+        sym = ps.LevySymbol(k=0, gamma=0.5, density=([0.0], [[1.0, 1.0]]), d=1,
+                            N0=0.3)
+        assert sym.nu == sym.N0 == 0.3
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    def test_psi_does_not_depend_on_the_batch(self, gamma):
+        # the suite's samples meet circle nodes orthogonal to xi, where a
+        # rounded w.xi of about 1e-17 once added |w.xi|^gamma terms; batched
+        # and single products may still differ in the last bit elsewhere
+        from paleyscope.cli import _xi_samples
+        xi = _xi_samples(2)
+        th = 2 * np.pi * np.arange(16) / 16
+        sym = ps.LevySymbol(k=1, gamma=gamma, d=2, density=(
+            [0.0, 0.5], [1.0 + 0.5 * np.cos(th), np.full(16, 0.3)]))
+        _, batched = sym.piecewise_values(xi)
+        rows = np.stack([sym.piecewise_values(x[None])[1][:, 0] for x in xi], axis=1)
+        np.testing.assert_allclose(batched, rows, rtol=1e-14, atol=0)
+
     def test_cancellation_vector(self):
         sym = ps.LevySymbol(k=0, gamma=1.0, density=([0.0], [[1.0, 1.0]]), d=1)
         assert ps.check_levy_cancellation(sym, 0.0) == pytest.approx([0.0])
