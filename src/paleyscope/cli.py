@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -104,7 +105,8 @@ def _number(kind, value, what, low=None, strict=False):
 
 
 # dotted key -> (kind, default, lower bound, strict).  A callable default is
-# derived from the symbol; a tuple default marks a nonempty list of numbers.
+# derived from the symbol; mc.K's None stands for the channel count of corpus
+# entry mc.entry; a tuple default marks a nonempty list of numbers.
 # SpaceGrid checks grid.d, grid.n and grid.L itself.
 _KEYS = {
     "grid.d": (int, 1, None, False),
@@ -116,7 +118,7 @@ _KEYS = {
     "corpus.seed": (int, DEFAULT_SEED, 0, False),
     "p_list": (float, (2.0,), 1.0, False),
     "mc.M": (int, 4096, 2, False),
-    "mc.K": (int, 3, 1, False),
+    "mc.K": (int, None, 1, False),
     "mc.seed": (int, 777, 0, False),
     "mc.entry": (int, 1, 0, False),
     "kernel.s": (float, 0.0, None, False),
@@ -168,6 +170,9 @@ def build_symbol(block):
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"symbol block needs a 'family' tag, one of {', '.join(_FAMILIES)}")
     cls, parsers = _FAMILIES[family]
+    for name, param in inspect.signature(cls).parameters.items():
+        if param.default is param.empty and name not in block:
+            raise ConfigError(f"symbol.{name} is required")
     try:
         return cls(**{k: parsers[k](v, f"symbol.{k}") for k, v in block.items()
                       if k != "family"})
@@ -401,9 +406,9 @@ def _suite_sharp_bound(cfg, out_dir, threads):
 def _suite_spde(cfg, out_dir):
     sym = _suite_symbol(cfg, "spde")
     grid = cfg.grid
-    K, M, seed = cfg.mc["K"], cfg.mc["M"], cfg.mc["seed"]
-    entry = cfg.mc["entry"]
+    M, seed, entry = cfg.mc["M"], cfg.mc["seed"], cfg.mc["entry"]
     f = corpus_entry(grid, cfg.nt, entry, t_window=cfg.t_window, seed=cfg.corpus["seed"])
+    K = f.k_h if cfg.mc["K"] is None else cfg.mc["K"]
     if f.k_h != K:
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
     spec = NoiseSpec(K=K, seed=seed, dt=f.dt, nt=cfg.nt)

@@ -13,15 +13,15 @@ All convolutions happen on the frequency side through the
 :class:`~paleyscope.spectral.Propagator` of the forcing: with I[j] the
 cumulative symbol integrals, the solution mode amplitudes are
 
-    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j,
+    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j.
 
-evaluated by one contraction for a whole block of paths at a time.  When
+Every factor comes from the step factors e_i = exp(I[i] - I[i-1]).  At the
+one time an ensemble reads, the sum is one contraction of the whole block of
+paths against their backward cumulative products e_{j+1} ... e_i.  When
 every time is needed, the same sum is carried forward by the
 exponential-integrator recursion
 
-    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k fhat^k(s_{i-1}) dW^k_{i-1})
-
-with the step factors e_i = exp(I[i] - I[i-1]).
+    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k fhat^k(s_{i-1}) dW^k_{i-1}).
 """
 
 from __future__ import annotations
@@ -80,17 +80,16 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Solution samples u(t, .) for M paths at selected observation times.
+    """Solution samples u(t, .) of M paths at the last grid time.
 
-    ``values`` has shape (M, len(t_indices)) + grid.shape; path m was driven
-    by the increment stream keyed on (spec.seed, base_path + m).
-    ``propagator`` is the forcing's :class:`Propagator` the paths came from.
+    ``values`` has shape (M,) + grid.shape; path m was driven by the
+    increment stream keyed on (spec.seed, base_path + m).  ``propagator`` is
+    the forcing's :class:`Propagator` the paths came from.
     """
 
     spec: NoiseSpec
     grid: object
     t0: float
-    t_indices: tuple
     base_path: int
     values: np.ndarray
     propagator: Propagator = field(repr=False, compare=False)
@@ -119,12 +118,14 @@ def _check_compatible(f, spec):
 def _convolved_slices(prop, t_index):
     """Frequency-side convolved slices (p(t*, s_j) * f^k(s_j)) for j < t*.
 
-    Shape ``(nt, K) + grid.shape``; slices at j >= t_index stay zero.
-    Exponentials are only formed for nonpositive real parts, so elliptic
+    Shape ``(nt, K) + grid.shape``; slices at j >= t_index stay zero.  The
+    factors exp(I[i] - I[j]) = e_{j+1} ... e_i are the backward cumulative
+    products of the step factors, each of modulus at most 1, so elliptic
     decay cannot overflow.
     """
     conv_hat = np.zeros_like(prop.fhat)
-    conv_hat[:t_index] = prop.decay(t_index, t_index)[:, None] * prop.fhat[:t_index]
+    factors = np.cumprod(prop.step[:t_index][::-1], axis=0)[::-1]
+    conv_hat[:t_index] = factors[:, None] * prop.fhat[:t_index]
     return conv_hat
 
 
@@ -166,54 +167,51 @@ def _increment_block(spec, M, base_path=0):
     return out
 
 
-def simulate_ensemble(sym, f, spec, M, t_indices=None, base_path=0):
-    """Solution fields for M paths at the requested observation times.
+def simulate_ensemble(sym, f, spec, M, base_path=0):
+    """Solution fields of M paths at the last grid time.
 
-    The increments of all paths are drawn once, so each observation time
-    costs one contraction of the block and one inverse transform.
+    The increments of all paths are drawn as one block, which costs one
+    contraction and one inverse transform.
     """
     _check_compatible(f, spec)
-    if t_indices is None:
-        t_indices = (f.nt - 1,)
-    t_indices = tuple(int(i) for i in t_indices)
-    g = f.grid
     prop = Propagator(sym, f)
     dw = _increment_block(spec, M, base_path)
-    values = np.empty((M, len(t_indices)) + g.shape, dtype=complex)
-    for slot, i in enumerate(t_indices):
-        values[:, slot] = prop.to_space(_contract(prop, dw, i))
-    return PathEnsemble(spec=spec, grid=g, t0=f.t0, t_indices=t_indices,
-                        base_path=base_path, values=values, propagator=prop)
+    values = prop.to_space(_contract(prop, dw, f.nt - 1))
+    return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
+                        values=values, propagator=prop)
 
 
 def stochastic_convolution(sym, f, spec, path):
-    """One solution path as a single-channel SpaceTimeField.
+    """One solution path at every grid time, as a single-channel SpaceTimeField.
 
     ``f`` holds the K deterministic forcing channels; causality makes
-    u(t_0) = 0 and u(t_i) depend only on increments with j < i.
+    u(t_0) = 0 and u(t_i) depend only on increments with j < i.  One
+    :func:`_advance` pass records every time, at O(nt) steps per path.
     """
-    ens = simulate_ensemble(sym, f, spec, 1, t_indices=range(f.nt), base_path=path)
+    _check_compatible(f, spec)
+    prop = Propagator(sym, f)
+    u_hat = np.zeros((f.nt, 1) + f.grid.shape, dtype=complex)
+    u_hat[1:] = list(_advance(prop, _increment_block(spec, 1, path)))
     return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
-                          values=ens.values[0][:, None], domain="space")
+                          values=prop.to_space(u_hat), domain="space")
 
 
-def ito_isometry_check(ensemble, t_slot=0, x_index=None):
+def ito_isometry_check(ensemble, x_index=None):
     """Relative error of the MC second moment against the exact discrete sum.
 
-    Reads the samples of ``ensemble`` at slot ``t_slot`` and point
-    ``x_index``, and the exact moment from the propagator it was simulated
-    with.  E|u|^2 there equals sum_{k, j < i*} |c_kj|^2 dt exactly for the
-    left-point scheme, so the value is a pure MC convergence measurement:
-    |mean - exact| / exact, with the standard error of the mean (also
-    relative to exact) alongside.
+    Reads the samples of ``ensemble`` at point ``x_index``, and the exact
+    moment from the propagator it was simulated with.  E|u|^2 there equals
+    sum_{k, j < i*} |c_kj|^2 dt exactly for the left-point scheme, so the
+    value is a pure MC convergence measurement: |mean - exact| / exact, with
+    the standard error of the mean (also relative to exact) alongside.
     """
     x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
     prop = ensemble.propagator
-    coeff = prop.to_point(_convolved_slices(prop, ensemble.t_indices[t_slot]), x_index)
+    coeff = prop.to_point(_convolved_slices(prop, ensemble.spec.nt - 1), x_index)
     exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")
-    sq = np.abs(ensemble.values[(slice(None), t_slot) + x_index]) ** 2
+    sq = np.abs(ensemble.values[(slice(None),) + x_index]) ** 2
     mc = float(np.mean(sq))
     std_err = float(np.std(sq, ddof=1) / np.sqrt(ensemble.M))
     return MomentEstimate(value=abs(mc - exact) / exact,
@@ -254,11 +252,11 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     return MomentEstimate(value=value, std_error=std_err, M=M, majorant=majorant)
 
 
-def gaussianity_diagnostic(ensemble, t_slot=0, x_index=None):
+def gaussianity_diagnostic(ensemble, x_index=None):
     """Excess kurtosis of Re u at one observation point across paths."""
     if x_index is None:
         x_index = _default_point(ensemble.grid)
-    samples = ensemble.values[(slice(None), t_slot) + tuple(x_index)].real
+    samples = ensemble.values[(slice(None),) + tuple(x_index)].real
     centered = samples - samples.mean()
     m2 = float(np.mean(centered ** 2))
     if m2 == 0.0:

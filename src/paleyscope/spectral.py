@@ -282,7 +282,8 @@ class Propagator:
 
     Holds the transformed slices ``fhat``, shape ``(nt, K_H) + grid.shape``,
     and the cumulative symbol integrals ``integrals`` (I) on the field's time
-    grid: slice j reaches time t_i through the multiplier exp(I[i] - I[j]).
+    grid: slice j reaches time t_i through the multiplier exp(I[i] - I[j]),
+    which every route forms from the step factors ``step`` alone.
     """
 
     def __init__(self, sym, f):
@@ -290,17 +291,13 @@ class Propagator:
         self.fhat = to_frequency(f).values
         self.integrals = cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
 
-    def decay(self, i, stop):
-        """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``."""
-        return np.exp(self.integrals[i][None] - self.integrals[:stop])
-
     @cached_property
     def step(self):
         """One-step factors e_i = exp(I[i] - I[i-1]) in row i - 1, i = 1 .. nt - 1.
 
         Shape ``(nt - 1,) + grid.shape``, formed on first use.  Re psi <= 0
         gives |e_i| <= 1, so recursions that multiply by them cannot
-        overflow; products of consecutive rows reproduce ``decay`` up to
+        overflow; the product of rows j .. i - 1 is exp(I[i] - I[j]) up to
         rounding.
         """
         return np.exp(np.diff(self.integrals, axis=0))

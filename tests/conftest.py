@@ -39,6 +39,13 @@ def quad_profile(sym, eta, xi, s):
     return sum(piece(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])) + tail
 
 
+def exp_decay(prop, i, stop):
+    """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``: every
+    kernel factor exponentiated from the propagator's cumulative integrals,
+    independently of its step factors."""
+    return np.exp(prop.integrals[i][None] - prop.integrals[:stop])
+
+
 @pytest.fixture(scope="session")
 def heat():
     return ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)

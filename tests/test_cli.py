@@ -84,6 +84,7 @@ class TestConfig:
         {"kernel": {"eta": -1}},
         {"nu": 0},
         {"mc": {"K": 0}},
+        {"mc": {"entry": 0, "K": 3}},
         {"grid": {"N": 64}},
         {"grid.nt": 64},
         {"symbol": {"family": "fractional", "gamma": 2.0, "nnu": 0.5}},
@@ -129,10 +130,11 @@ class TestConfig:
                 shown.update((f"{name}.{k}", v) for k, v in value.items())
             elif name != "symbol":
                 shown[name] = tuple(value) if isinstance(value, list) else value
-        # eta and nu default to values of the symbol, documented in prose
+        # eta and nu default to values of the symbol, and mc.K to the channel
+        # count of its corpus entry, documented in prose
         assert shown == {k: default for k, (_, default, _, _) in cli._KEYS.items()
-                         if not callable(default)}
-        for key in ("eta", "nu"):
+                         if default is not None and not callable(default)}
+        for key in ("eta", "nu", "mc.K"):
             assert f"`{key}`" in section
 
     @pytest.mark.parametrize("suite, block", [
@@ -176,6 +178,20 @@ class TestConfig:
         assert err.startswith("error: ") and "N0" in err
         assert "Traceback" not in err
         assert not (tmp_path / "lp-ratio.csv").exists()
+
+    @pytest.mark.parametrize("block, key", [
+        ({"family": "fractional"}, "symbol.gamma"),
+        ({"family": "polyform", "m": 2}, "symbol.coeffs"),
+        ({"family": "levy", "k": 0, "gamma": 0.5, "d": 1}, "symbol.density"),
+    ])
+    def test_missing_symbol_key_is_named(self, tmp_path, capsys, block, key):
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps({"symbol": block}))
+        rc = main(["spde", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "__init__" not in err and "Traceback" not in err
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["lp-ratio", "--config", str(tmp_path / "none.json"),
@@ -334,6 +350,17 @@ class TestSuites:
         assert payload["suite"] == "spde"
         assert float(payload["isometry_rel_error"]) < 0.05
         assert payload["checks"]["isometry"] is True
+
+    def test_spde_channel_count_defaults_to_the_entry(self, tmp_path):
+        # corpus entry 0 has one channel; mc.K is not given
+        path = tmp_path / "entry0.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "fractional", "gamma": 2.0},
+             "grid": {"n": 64, "nt": 64}, "mc": {"entry": 0}}))
+        assert load_config(path).mc["K"] is None
+        rc = main(["spde", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "spde.json").read_text())["K"] == 1
 
     def test_exponents_without_config(self, tmp_path):
         rc = main(["exponents", "--gamma", "1/2", "--gamma", "2",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import paleyscope as ps
 from paleyscope import spde
 
-from conftest import quad_profile
+from conftest import exp_decay, quad_profile
 
 EPS = np.finfo(float).eps
 NU = 0.5
@@ -79,7 +79,7 @@ def test_step_products_follow_the_semigroup_law(case, data):
     _, f, prop = case
     nt = f.nt
     i = data.draw(st.integers(1, nt - 1))
-    want = prop.decay(i, i + 1)
+    want = exp_decay(prop, i, i + 1)
     tiny = np.finfo(float).tiny
     prod = np.ones(f.grid.shape, dtype=complex)
     for j in range(i - 1, -1, -1):

@@ -6,6 +6,8 @@ import pytest
 import paleyscope as ps
 from paleyscope import spde
 
+from conftest import exp_decay
+
 
 @pytest.fixture()
 def grid():
@@ -70,44 +72,52 @@ class TestSolution:
 
     def test_future_forcing_cannot_reach_the_present(self, grid, heat,
                                                      forcing, spec):
-        ens = ps.simulate_ensemble(heat, forcing, spec, M=4, t_indices=(10,))
+        # u(t_i) reads forcing slices j < i only: bit for bit up to t_10,
+        # and the tampered slices reach every later time
+        u = ps.stochastic_convolution(heat, forcing, spec, path=0).values
         tampered = forcing.values.copy()
         tampered[10:] = 7.7 + 0.1j
         f2 = ps.SpaceTimeField(grid=grid, t0=forcing.t0, dt=forcing.dt,
                                values=tampered)
-        ens2 = ps.simulate_ensemble(heat, f2, spec, M=4, t_indices=(10,))
-        np.testing.assert_array_equal(ens.values, ens2.values)
+        u2 = ps.stochastic_convolution(heat, f2, spec, path=0).values
+        np.testing.assert_array_equal(u[:11], u2[:11])
+        for i in range(11, spec.nt):
+            assert not np.array_equal(u[i], u2[i])
 
     def test_ensemble_shape_and_base_path(self, grid, heat, forcing, spec):
-        ens = ps.simulate_ensemble(heat, forcing, spec, M=3,
-                                   t_indices=(8, 31), base_path=5)
-        assert ens.values.shape == (3, 2, 64)
-        solo = ps.stochastic_convolution(heat, forcing, spec, path=5)
-        np.testing.assert_allclose(
-            ens.values[0, 1], solo.values[31, 0], atol=1e-12)
+        # path m of an ensemble is path base_path + m at the last time
+        ens = ps.simulate_ensemble(heat, forcing, spec, M=3, base_path=5)
+        assert ens.values.shape == (3, 64)
+        for m in range(3):
+            solo = ps.stochastic_convolution(heat, forcing, spec, path=5 + m)
+            np.testing.assert_allclose(ens.values[m], solo.values[-1, 0],
+                                       atol=1e-12)
 
-
-    def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid,
+    def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid, heat,
                                                           forcing, spec):
         # u(t_i) = sum_{j<i} sum_k (K(t_i, s_j) * f^k(s_j)) dW_kj with every
-        # kernel tabulated from its own time integral; the symbol's
+        # kernel tabulated from its own time integral: each path at every
+        # time, and the ensemble at the last; the two-piece symbol's
         # breakpoint 0.5 falls inside a step
-        sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
-                                  nu=0.5)
-        t_indices = (5, 17, 31)
-        ens = ps.simulate_ensemble(sym, forcing, spec, M=3,
-                                   t_indices=t_indices, base_path=2)
-        dw = np.stack([ps.sample_brownian_increments(spec, 2 + m)
-                       for m in range(3)])
+        two_piece = ps.FractionalSymbol(
+            gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5)
         t = forcing.times()
-        for slot, i in enumerate(t_indices):
-            want = np.zeros((3,) + grid.shape, dtype=complex)
-            for j in range(i):
-                km = ps.kernel_hat(sym, t[j], t[i], 0.0, grid)
-                amp = ps.apply_multiplier(ps.Field(grid, forcing.values[j]),
-                                          km).values
-                want += np.einsum("mk,kx->mx", dw[:, :, j], amp)
-            np.testing.assert_allclose(ens.values[:, slot], want, rtol=1e-12)
+        for sym in (heat, two_piece):
+            ens = ps.simulate_ensemble(sym, forcing, spec, M=2, base_path=2)
+            for m in range(2):
+                u = ps.stochastic_convolution(sym, forcing, spec,
+                                              path=2 + m).values
+                dw = ps.sample_brownian_increments(spec, 2 + m)
+                want = np.zeros_like(u)
+                for i in range(1, spec.nt):
+                    for j in range(i):
+                        km = ps.kernel_hat(sym, t[j], t[i], 0.0, grid)
+                        amp = ps.apply_multiplier(
+                            ps.Field(grid, forcing.values[j]), km).values
+                        want[i, 0] += dw[:, j] @ amp
+                np.testing.assert_allclose(u, want, rtol=1e-12)
+                np.testing.assert_allclose(ens.values[m], want[-1, 0],
+                                           rtol=1e-12)
 
 
 class TestSecondMoment:
@@ -116,8 +126,8 @@ class TestSecondMoment:
         f, xi0 = _single_mode(grid, 32)
         spec = ps.NoiseSpec(K=1, seed=777, dt=f.dt, nt=32)
         M = 3000
-        ens = ps.simulate_ensemble(heat, f, spec, M=M, t_indices=(31,))
-        samples = np.abs(ens.values[:, 0, 32]) ** 2
+        ens = ps.simulate_ensemble(heat, f, spec, M=M)
+        samples = np.abs(ens.values[:, 32]) ** 2
         t = f.times()
         exact = np.sum(np.exp(-2 * xi0 ** 2 * (t[31] - t[:31]))) * f.dt
         sd = samples.std(ddof=1) / np.sqrt(M)
@@ -135,16 +145,19 @@ class TestSecondMoment:
     @pytest.mark.parametrize("d, x_index", [(1, None), (1, (5,)), (2, (3, 11))])
     def test_exact_moment_matches_the_full_inverse_transform(self, heat, d,
                                                             x_index):
+        # the first ten slices of an entry, so that t_9 is the last time
         g = ps.SpaceGrid(d=d, n=64 if d == 1 else 16, L=20.0)
-        f = ps.corpus_entry(g, 16, 1)
-        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=16)
-        ens = ps.simulate_ensemble(heat, f, spec, M=64, t_indices=(9,))
+        entry = ps.corpus_entry(g, 16, 1)
+        f = ps.SpaceTimeField(grid=g, t0=entry.t0, dt=entry.dt,
+                              values=entry.values[:10])
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=10)
+        ens = ps.simulate_ensemble(heat, f, spec, M=64)
         x = (g.n // 2,) * d if x_index is None else x_index
         prop = ens.propagator
         coeff = prop.to_space(spde._convolved_slices(prop, 9))[
             (slice(None), slice(None)) + x]
         exact = np.sum(np.abs(coeff) ** 2) * spec.dt
-        sq = np.abs(ens.values[(slice(None), 0) + x]) ** 2
+        sq = np.abs(ens.values[(slice(None),) + x]) ** 2
         est = ps.ito_isometry_check(ens, x_index=x_index)
         assert est.value == pytest.approx(abs(sq.mean() - exact) / exact,
                                           rel=1e-12)
@@ -170,7 +183,7 @@ def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
         z = np.einsum("jk...,kj->j...", prop.fhat, dW)
         uhat = np.zeros((f.nt,) + g.shape, dtype=complex)
         for i in range(1, f.nt):
-            uhat[i] = np.sum(prop.decay(i, i) * z[:i], axis=0)
+            uhat[i] = np.sum(exp_decay(prop, i, i) * z[:i], axis=0)
         mag = np.abs(prop.to_space(riesz * uhat))
         norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p

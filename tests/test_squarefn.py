@@ -5,6 +5,8 @@ import pytest
 
 import paleyscope as ps
 
+from conftest import exp_decay
+
 
 @pytest.fixture()
 def grid():
@@ -120,7 +122,7 @@ def _square_function_reference(sym, eta, f):
     riesz = ps.fractional_multiplier(g, eta)
     out = np.zeros((f.nt,) + g.shape)
     for i in range(1, f.nt):
-        mult = riesz[None, ...] * prop.decay(i, i + 1)  # (i+1,) + shape
+        mult = riesz[None, ...] * exp_decay(prop, i, i + 1)  # (i+1,) + shape
         amp = prop.to_space(mult[:, None, ...] * prop.fhat[: i + 1])
         w = np.full(i + 1, f.dt)
         w[0] *= 0.5
