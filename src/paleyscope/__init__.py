@@ -24,11 +24,9 @@ from .assumptions import (
 )
 from .corpus import DEFAULT_SEED, corpus_entry, make_corpus
 from .maximal import (
-    ParabolicCylinder,
     fefferman_stein_check,
     maximal_space,
     maximal_time,
-    sharp_bound_ratio,
     sharp_function,
     verify_sharp_bound,
 )
@@ -103,8 +101,8 @@ __all__ = [
     "KernelExponents", "solve_mu", "theorem_exponents", "EnvelopeFamily",
     "synthesize_envelopes", "MomentReport", "moment_integral",
     "assumption1_profile", "verify_assumption1",
-    "ParabolicCylinder", "maximal_space", "maximal_time", "sharp_function",
-    "verify_sharp_bound", "sharp_bound_ratio", "fefferman_stein_check",
+    "maximal_space", "maximal_time", "sharp_function", "verify_sharp_bound",
+    "fefferman_stein_check",
     "NoiseSpec", "MomentEstimate", "PathEnsemble",
     "sample_brownian_increments", "stochastic_convolution",
     "ito_isometry_check", "moment_bound_check", "simulate_ensemble",

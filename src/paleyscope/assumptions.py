@@ -392,5 +392,13 @@ def assumption1_profile(sym, eta, xi_samples, s=0.0):
 
 
 def verify_assumption1(sym, eta, xi_samples, s=0.0):
-    """Sup over samples of the squared-kernel time integral (the constant C0)."""
-    return float(np.max(assumption1_profile(sym, eta, xi_samples, s=s)))
+    """The constant C0: sup over samples and start times s' >= s of the
+    squared-kernel time integral.
+
+    On each time piece the profile solves C' = c_k C - |xi|^(2 eta) with a
+    constant rate c_k = -2 Re psi_k, so it is monotone there, and its
+    supremum over s' >= s is the max over s and the breakpoints after it.
+    """
+    starts = [s, *(float(b) for b in sym.breakpoints if b > s)]
+    return max(float(np.max(assumption1_profile(sym, eta, xi_samples, s=t)))
+               for t in starts)

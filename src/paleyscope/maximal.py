@@ -14,49 +14,30 @@ default oscillation metric is the root mean square sqrt(E[g^2] - E[g]^2),
 computable from two mean tables; the mean absolute deviation variant is
 available as ``metric="l1"`` through a direct evaluation intended for small
 grids.
+
+:func:`verify_sharp_bound` is the one route for the paper's estimate
+(G f)^# <= N (M_t M_x |f|_H^2)^{1/2} followed by Fefferman-Stein
+||h||_p <= N ||h^#||_p: one sharp function of the mean-removed G f feeds
+both ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.ndimage import maximum_filter
 
-from .spectral import Field, SpaceTimeField
-from .squarefn import DegenerateFieldError, SquareField, square_function
+from .spectral import Field
+from .squarefn import DegenerateFieldError, square_function
 
 __all__ = [
-    "ParabolicCylinder",
     "maximal_space",
     "maximal_time",
     "sharp_function",
     "verify_sharp_bound",
-    "sharp_bound_ratio",
     "fefferman_stein_check",
 ]
-
-
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """The anisotropic window (s - R, s + R) x B(y, R^delta0)."""
-
-    s: float
-    y: tuple
-    R: float
-    delta0: float
-
-    def __post_init__(self):
-        if not (self.R > 0 and self.delta0 > 0):
-            raise ValueError("R and delta0 must be positive")
-
-    @property
-    def time_interval(self) -> tuple:
-        return (self.s - self.R, self.s + self.R)
-
-    @property
-    def space_radius(self) -> float:
-        return self.R ** self.delta0
 
 
 def _require_real(values, what):
@@ -127,9 +108,7 @@ def _wrap_ball_means_nd(arr, ks, d):
         yield np.fft.ifftn(arr_hat * khat, axes=axes).real / mask.sum()
 
 
-def _space_radius_ladder(grid, radii_cells):
-    if radii_cells is not None:
-        return sorted(set(int(k) for k in radii_cells))
+def _space_radius_ladder(grid):
     if grid.d == 1:
         return list(range(grid.n // 2 + 1))
     ladder = [0]
@@ -140,57 +119,33 @@ def _space_radius_ladder(grid, radii_cells):
     return ladder
 
 
-def maximal_space(f, radii_cells=None):
+def maximal_space(f):
     """Hardy-Littlewood maximal function over centered periodic balls.
 
-    The default ladder is dense (every integer radius up to n/2) in one
+    The ladder is dense (every integer radius up to n/2) in one
     dimension and dyadic in two, where each radius costs a circular
     convolution.  Radius 0 is always included and is the input itself, so
     the output dominates the input.
     """
     values = _require_real(f.values, "maximal_space input")
-    ladder = _space_radius_ladder(f.grid, radii_cells)
     out = np.full_like(values, -np.inf)
-    for means in _wrap_ball_means_nd(values, ladder, f.grid.d):
+    for means in _wrap_ball_means_nd(values, _space_radius_ladder(f.grid), f.grid.d):
         np.maximum(out, means, out=out)
     return Field(f.grid, out, domain="space")
 
 
-def maximal_time(f, radii=None):
+def maximal_time(f):
     """Maximal function along the time axis with zero extension.
 
     Averages are over windows of half-width k cells normalized by the full
     window size (2k + 1), matching a compactly supported function on the
-    line.  The default ladder is dense: every k from 0 to nt - 1.
+    line.  The ladder is dense: every k from 0 to nt - 1.
     """
     values = _require_real(f.values, "maximal_time input")
-    ladder = (sorted(set(int(k) for k in radii)) if radii is not None
-              else range(values.shape[0]))
     out = np.full_like(values, -np.inf)
-    for means in _window_means(values, ladder, axis=0):
+    for means in _window_means(values, range(values.shape[0]), axis=0):
         np.maximum(out, means, out=out)
     return replace(f, values=out)
-
-
-def _as_scalar_spacetime(g):
-    """(array (nt,)+shape, grid, t0, dt, rebuild) from either field type."""
-    if isinstance(g, SquareField):
-        arr = g.values.astype(float)
-
-        def rebuild(values):
-            return SquareField(grid=g.grid, t0=g.t0, dt=g.dt, values=values)
-
-        return arr, g.grid, g.t0, g.dt, rebuild
-    if isinstance(g, SpaceTimeField):
-        if g.k_h != 1:
-            raise ValueError("sharp function expects a single-channel field")
-        arr = _require_real(g.values[:, 0], "sharp-function input")
-
-        def rebuild(values):
-            return replace(g, values=values[:, None].astype(complex))
-
-        return arr, g.grid, g.t0, g.dt, rebuild
-    raise TypeError("expected SquareField or SpaceTimeField")
 
 
 def _default_r_ladder(dt, nt):
@@ -229,12 +184,10 @@ def _dilate(arr, grid, kt, ks):
     return maximum_filter(padded, footprint=box, mode="wrap")[:arr.shape[0]]
 
 
-def _sharp_core(arr, grid, dt, delta0, r_ladder, metric):
+def _sharp_core(arr, grid, dt, delta0, metric="l2"):
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    nt = arr.shape[0]
-    if r_ladder is None:
-        r_ladder = _default_r_ladder(dt, nt)
+    r_ladder = _default_r_ladder(dt, arr.shape[0])
     if metric not in ("l2", "l1"):
         raise ValueError("metric must be 'l2' or 'l1'")
     if metric == "l1":
@@ -273,40 +226,43 @@ def _sharp_l1_direct(arr, grid, dt, delta0, r_ladder):
     return out
 
 
-def sharp_function(g, delta0, r_ladder=None, metric="l2"):
-    """Parabolic sharp function of a scalar space-time field.
+def sharp_function(g, delta0, metric="l2"):
+    """Parabolic sharp function of a :class:`~paleyscope.squarefn.SquareField`.
 
-    For each radius R in the ladder (default dt * 2^j up to the window
-    length) the cylinder spans round(R/dt) time cells and round(R^delta0/h)
-    space cells.  Constants map to zero.
+    For each radius R = dt * 2^j up to the window length the cylinder spans
+    round(R/dt) time cells and round(R^delta0/h) space cells.  Constants
+    map to zero.
     """
-    arr, grid, _, dt, rebuild = _as_scalar_spacetime(g)
-    return rebuild(_sharp_core(arr, grid, dt, delta0, r_ladder, metric))
+    values = _sharp_core(g.values.astype(float), g.grid, g.dt, delta0, metric)
+    return replace(g, values=values)
 
 
-def verify_sharp_bound(sym, eta, f, delta0=None, r_ladder=None,
-                       space_radii=None, time_radii=None, metric="l2"):
-    """Sup ratio of sharp(G f) against the composed maximal function of |f|_H^2.
+def verify_sharp_bound(sym, eta, f, p, delta0=None):
+    """(sup ratio, Fefferman-Stein ratio) of G = G f from one sharp function.
 
-    The denominator is sqrt(M_time(M_space |f|^2)); 0/0 counts as 0.  The
-    default delta0 is 1/gamma for the symbol's homogeneity order gamma,
-    matching the cylinders the estimate is stated for.
+    The sup ratio is sharp(G) / sqrt(M_time(M_space |f|_H^2)), 0/0 counted
+    as 0; the second is ``fefferman_stein_check(G, p, delta0)``.  The sharp
+    function is taken of the mean-removed G, which the RMS oscillation does
+    not see, so the sup ratio equals that of sharp(G) up to rounding; a
+    constant G raises :class:`DegenerateFieldError`.  The default delta0 is
+    1/gamma for the symbol's homogeneity order gamma, matching the
+    cylinders the estimate is stated for.
     """
+    if p <= 1:
+        raise ValueError("p must exceed 1")
     if delta0 is None:
         delta0 = 1.0 / sym.order
-    G = square_function(sym, eta, f)
-    return sharp_bound_ratio(G, f, delta0, r_ladder, space_radii, time_radii,
-                             metric)
+    h0 = _mean_removed(square_function(sym, eta, f).values)
+    sharp = _sharp_core(h0, f.grid, f.dt, delta0)
+    # the time slices of |f|_H^2 ride through maximal_space as channels
+    density = Field(f.grid, np.sum(np.abs(f.values) ** 2, axis=1))
+    w = maximal_time(maximal_space(density)).values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
+    return float(np.max(ratio)), _fs_ratio(h0, sharp, p, f.grid.h ** f.grid.d * f.dt)
 
 
-def sharp_bound_ratio(G, f, delta0, r_ladder=None, space_radii=None,
-                      time_radii=None, metric="l2"):
-    """The ratio of :func:`verify_sharp_bound` for a precomputed G = G f."""
-    sharp = _sharp_core(G.values, f.grid, f.dt, delta0, r_ladder, metric)
-    return _sup_ratio(sharp, f, space_radii, time_radii)
-
-
-def fefferman_stein_check(h, p, delta0, r_ladder=None, metric="l2"):
+def fefferman_stein_check(h, p, delta0):
     """Ratio ||h0||_p / ||h0^sharp||_p for the mean-adjusted field h0.
 
     The global grid mean is removed first because discrete periodic
@@ -314,38 +270,9 @@ def fefferman_stein_check(h, p, delta0, r_ladder=None, metric="l2"):
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    arr, grid, _, dt, _ = _as_scalar_spacetime(h)
-    h0 = _mean_removed(arr)
-    sharp = _sharp_core(h0, grid, dt, delta0, r_ladder, metric)
-    return _fs_ratio(h0, sharp, p, grid.h ** grid.d * dt)
-
-
-def _sharp_bound_ratios(G, f, p, delta0):
-    """(:func:`sharp_bound_ratio`, :func:`fefferman_stein_check`) of G = G f.
-
-    Both read one sharp function, taken of the mean-removed G: the RMS
-    oscillation ignores an added constant, so the first ratio equals
-    ``sharp_bound_ratio(G, f, delta0)`` up to rounding and the second is
-    ``fefferman_stein_check(G, p, delta0)`` exactly.  Default ladders, l2
-    metric.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    h0 = _mean_removed(G.values)
-    sharp = _sharp_core(h0, f.grid, f.dt, delta0, None, "l2")
-    return (_sup_ratio(sharp, f, None, None),
-            _fs_ratio(h0, sharp, p, f.grid.h ** f.grid.d * f.dt))
-
-
-def _sup_ratio(sharp, f, space_radii, time_radii):
-    """sup of sharp / sqrt(M_time(M_space |f|_H^2)), 0/0 counted as 0."""
-    # the time slices of |f|_H^2 ride through maximal_space as channels
-    density = Field(f.grid, np.sum(np.abs(f.values) ** 2, axis=1))
-    mx = maximal_space(density, radii_cells=space_radii)
-    w = maximal_time(mx, radii=time_radii).values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
-    return float(np.max(ratio))
+    h0 = _mean_removed(h.values.astype(float))
+    sharp = _sharp_core(h0, h.grid, h.dt, delta0)
+    return _fs_ratio(h0, sharp, p, h.grid.h ** h.grid.d * h.dt)
 
 
 def _mean_removed(arr):

@@ -128,7 +128,7 @@ def test_sharp_bound_finite_stable_and_rescale_invariant(family_table):
         for n in (64, 128):
             grid = ps.SpaceGrid(d=1, n=n, L=20.0)
             for i, f in enumerate(ps.make_corpus(grid, 128, count=20)):
-                v = ps.verify_sharp_bound(sym, eta, f, delta0=delta0)
+                v, _ = ps.verify_sharp_bound(sym, eta, f, 2.0, delta0=delta0)
                 assert np.isfinite(v) and v > 0.0
                 values[(name, n, i)] = v
         for i in range(20):
@@ -146,8 +146,8 @@ def test_sharp_bound_finite_stable_and_rescale_invariant(family_table):
             fc = ps.SpaceTimeField(
                 grid=scaled_grid, t0=f.t0 / c ** gamma,
                 dt=f.dt / c ** gamma, values=f.values.copy())
-            v = ps.verify_sharp_bound(sym, gamma / 2, f, delta0=1 / gamma)
-            vc = ps.verify_sharp_bound(sym, gamma / 2, fc, delta0=1 / gamma)
+            v, _ = ps.verify_sharp_bound(sym, gamma / 2, f, 2.0, delta0=1 / gamma)
+            vc, _ = ps.verify_sharp_bound(sym, gamma / 2, fc, 2.0, delta0=1 / gamma)
             assert abs(vc - v) / v < 0.05
 
 

@@ -248,3 +248,18 @@ def test_decay_constant_matches_piecewise_quadrature(name, s):
     prof = ps.assumption1_profile(sym, eta, xi, s=s)
     want = [quad_profile(sym, eta, v, s) for v in xi]
     np.testing.assert_allclose(prof, want, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.3, 0.2, 0.5, 1.7])
+@pytest.mark.parametrize("name", sorted(PIECEWISE_SYMBOLS))
+def test_c0_is_the_sup_over_later_start_times(name, s):
+    # the profile is monotone on each piece, so no start time after s
+    # exceeds the max over s and the later breakpoints
+    sym, xi = PIECEWISE_SYMBOLS[name]
+    eta = sym.order / 2
+    c0 = ps.verify_assumption1(sym, eta, xi, s=s)
+    later = s + np.linspace(0.0, 2.5, 101)
+    got = [ps.assumption1_profile(sym, eta, xi, s=t).max() for t in later]
+    assert max(got) <= c0 * (1 + 1e-12)
+    ends = [s, *(b for b in sym.breakpoints if b > s)]
+    assert c0 == max(ps.assumption1_profile(sym, eta, xi, s=t).max() for t in ends)

@@ -214,6 +214,30 @@ class TestSuites:
         p2 = [r for r in body if r[2] == "2"]
         assert all(r[7] == "true" for r in p2)
         assert all(float(r[5]) <= float(r[6]) for r in p2)
+        # p = 4 rows are not gated: no bound and no verdict
+        p4 = [r for r in body if r[2] == "4"]
+        assert len(p4) == 4 and all(r[6:] == ["", ""] for r in p4)
+
+    def test_lp_ratio_gates_against_the_sup_over_start_times(self, tmp_path):
+        # the density halves at t = 0.5, so C0 peaks at s = 0.5, not s = 0
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(
+            {"symbol": {"family": "levy", "k": 0, "gamma": 0.5, "d": 2, "nodes": 8,
+                        "density": {"breakpoints": [0.0, 0.5],
+                                    "table": [[1] * 8, [0.5] * 8]}},
+             "grid": {"d": 2, "n": 32, "L": 20.0, "nt": 32}, "corpus": {"count": 8}}))
+        rc = main(["lp-ratio", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "lp-ratio.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        sym = load_config(path).symbol
+        c0 = ps.verify_assumption1(sym, sym.order / 2, cli._xi_samples(2), s=0.5)
+        assert len(rows) == 8
+        for r in rows:
+            assert float(r["C0_bound"]) == np.sqrt(c0) + 1e-3
+            # the s = 0 constant alone would fail every row
+            assert float(r["ratio"]) > np.sqrt(ps.assumption1_profile(
+                sym, sym.order / 2, cli._xi_samples(2)).max()) + 1e-3
 
     def test_lp_ratio_computes_g_once_per_entry(self, tmp_path, cli_config,
                                                 monkeypatch):
@@ -288,7 +312,7 @@ class TestSuites:
         assert rc == 0
         with open(tmp_path / "sharp-bound.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["family", "gamma", "n", "nt", "sup_ratio_sharp",
+        assert rows[0] == ["family", "gamma_or_m", "n", "nt", "sup_ratio_sharp",
                            "fs_ratio"]
         for row in rows[1:]:
             assert np.isfinite(float(row[4]))
