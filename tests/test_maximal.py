@@ -221,6 +221,14 @@ class TestSharpFunction:
 
 
 class TestSupRatio:
+    def test_zero_field_gives_zero(self, heat):
+        # a zero field gives G = 0, so both ratios are undefined: it raises
+        grid = ps.SpaceGrid(d=1, n=32, L=20.0)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05,
+                              values=np.zeros((16, 1, 32), complex))
+        with pytest.raises(ps.DegenerateFieldError):
+            ps.verify_sharp_bound(heat, 1.0, f, 2.0)
+
     def test_finite_on_corpus_entry(self, heat):
         grid = ps.SpaceGrid(d=1, n=64, L=20.0)
         f = ps.corpus_entry(grid, 32, 0)
@@ -278,12 +286,12 @@ class TestSharpBoundRatios:
         assert fs == ps.fefferman_stein_check(G, 3.0, delta0)
 
     def test_constant_field_and_small_p_raise(self, heat):
-        # a zero field has G = 0: both ratios are undefined
+        # a nonzero constant field has a constant G: nothing oscillates
         grid = ps.SpaceGrid(d=1, n=32, L=20.0)
-        zero = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05,
-                                 values=np.zeros((16, 1, 32), complex))
+        const = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05,
+                                  values=np.full((16, 1, 32), 3.0 + 0j))
         with pytest.raises(ps.DegenerateFieldError):
-            ps.verify_sharp_bound(heat, 1.0, zero, 2.0)
+            ps.verify_sharp_bound(heat, 1.0, const, 2.0)
         f = ps.corpus_entry(grid, 8, 0)
         with pytest.raises(ValueError):
             ps.verify_sharp_bound(heat, 1.0, f, 1.0)
