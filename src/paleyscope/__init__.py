@@ -43,21 +43,17 @@ from .spde import (
 )
 from .spectral import (
     Field,
-    KernelMultiplier,
     Propagator,
     SpaceGrid,
     SpaceTimeField,
-    aliasing_budget,
     apply_multiplier,
     cumulative_symbol_integrals,
     dump_field,
     fractional_multiplier,
     kernel_hat,
     load_field,
-    synthesize_kernel,
     to_frequency,
     to_space,
-    warn_if_underresolved,
 )
 from .squarefn import (
     DegenerateFieldError,
@@ -88,11 +84,10 @@ __all__ = [
     "FractionalSymbol", "PolyFormSymbol", "LevySymbol", "EllipticityReport",
     "eval_symbol", "symbol_time_integral", "check_ellipticity",
     "check_levy_cancellation",
-    "SpaceGrid", "Field", "SpaceTimeField", "KernelMultiplier",
+    "SpaceGrid", "Field", "SpaceTimeField",
     "to_frequency", "to_space", "apply_multiplier", "fractional_multiplier",
-    "kernel_hat", "synthesize_kernel",
-    "cumulative_symbol_integrals", "Propagator", "dump_field",
-    "load_field", "aliasing_budget", "warn_if_underresolved",
+    "kernel_hat", "cumulative_symbol_integrals", "Propagator",
+    "dump_field", "load_field",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",
     "square_function_l2", "lp_space_time_norm", "lp_ratio",
     "elliptic_square_function", "scaling_check",

@@ -47,12 +47,12 @@ from .spde import (
     simulate_ensemble,
 )
 from .spectral import (
+    Field,
     SpaceGrid,
     _atomic_write,
     dump_field,
     kernel_hat,
-    synthesize_kernel,
-    warn_if_underresolved,
+    to_space,
 )
 from .squarefn import lp_space_time_norm, square_function, square_function_l2
 from .symbols import (
@@ -129,6 +129,7 @@ _KEYS = {
     "tolerances.isometry": (float, 0.05, 0.0, True),
     "tolerances.kurtosis": (float, 0.15, 0.0, True),
 }
+_KEY_WORDS = ("corpus.seed", "mc.seed", "mc.entry")  # uint64 words of a Philox key
 
 
 def _floats(v, what):
@@ -220,6 +221,8 @@ def load_config(path):
             value = tuple(_number(kind, p, key, low, strict) for p in value)
         else:
             value = _number(kind, value, key, low, strict)
+            if key in _KEY_WORDS and value >= 2 ** 64:
+                raise ConfigError(f"{key} must be below 2**64, got {value!r}")
         blocks.setdefault(name, {})[sub] = value
     grid, top = blocks["grid"], blocks[""]
     try:
@@ -292,13 +295,21 @@ def _gamma_or_m(sym):
     return sym.gamma
 
 
-def _suite_symbol(cfg, suite, dt=None):
-    """The config's symbol, once the aliasing budget at ``dt`` (default one step) is checked."""
+def _suite_symbol(cfg, suite):
+    """The config's symbol, which every suite but exponents requires."""
     if cfg.symbol is None:
         raise ConfigError(f"{suite} suite requires a symbol block")
-    dt = cfg.t_window / (cfg.nt - 1) if dt is None else dt
-    warn_if_underresolved(cfg.grid, cfg.nu, cfg.symbol.order, dt)
     return cfg.symbol
+
+
+def _corpus(cfg, entry=None):
+    """The config's corpus, or its entry ``entry`` alone."""
+    kw = {"t_window": cfg.t_window, "seed": cfg.corpus["seed"]}
+    try:
+        return (make_corpus(cfg.grid, cfg.nt, cfg.corpus["count"], **kw) if entry is None
+                else corpus_entry(cfg.grid, cfg.nt, entry, **kw))
+    except ValueError as e:  # a grid too coarse for the corpus band
+        raise ConfigError(str(e)) from None
 
 
 def _suite_assumptions(cfg, out_dir):
@@ -345,8 +356,7 @@ def _suite_assumptions(cfg, out_dir):
 def _suite_lp_ratio(cfg, out_dir, threads):
     sym = _suite_symbol(cfg, "lp-ratio")
     grid = cfg.grid
-    fields = make_corpus(grid, cfg.nt, count=cfg.corpus["count"],
-                         t_window=cfg.t_window, seed=cfg.corpus["seed"])
+    fields = _corpus(cfg)
     c0 = verify_assumption1(sym, cfg.eta, _xi_samples(grid.d))
     bound = math.sqrt(c0) + 1e-3
 
@@ -381,8 +391,7 @@ def _suite_lp_ratio(cfg, out_dir, threads):
 def _suite_sharp_bound(cfg, out_dir, threads):
     sym = _suite_symbol(cfg, "sharp-bound")
     grid = cfg.grid
-    fields = make_corpus(grid, cfg.nt, count=cfg.corpus["count"],
-                         t_window=cfg.t_window, seed=cfg.corpus["seed"])
+    fields = _corpus(cfg)
     p_fs = cfg.p_list[0] if cfg.p_list and cfg.p_list[0] > 1 else 2.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda f: verify_sharp_bound(sym, cfg.eta, f, p_fs), fields))
@@ -400,9 +409,8 @@ def _suite_sharp_bound(cfg, out_dir, threads):
 
 def _suite_spde(cfg, out_dir):
     sym = _suite_symbol(cfg, "spde")
-    grid = cfg.grid
     M, seed, entry = cfg.mc["M"], cfg.mc["seed"], cfg.mc["entry"]
-    f = corpus_entry(grid, cfg.nt, entry, t_window=cfg.t_window, seed=cfg.corpus["seed"])
+    f = _corpus(cfg, entry)
     K = f.k_h if cfg.mc["K"] is None else cfg.mc["K"]
     if f.k_h != K:
         raise ConfigError(f"corpus entry {entry} has {f.k_h} channels, mc.K is {K}")
@@ -469,11 +477,13 @@ def _suite_kernel_dump(cfg, out_dir):
     s, t, eta = cfg.kernel["s"], cfg.kernel["t"], cfg.kernel["eta"]
     if t < s:
         raise ConfigError("kernel block requires s <= t")
-    sym = _suite_symbol(cfg, "kernel-dump", max(t - s, 1e-12))
-    kmult = kernel_hat(sym, s, t, eta, cfg.grid)
-    fld = synthesize_kernel(kmult)
+    k = kernel_hat(_suite_symbol(cfg, "kernel-dump"), s, t, eta, cfg.grid)
     path = os.path.join(out_dir, "kernel.plsf")
-    dump_field(fld, path)
+    dump_field(to_space(Field(cfg.grid, k[None], domain="freq")), path)
+    # the largest modulus on an axis-n/2 mode relative to the largest overall
+    mag = np.abs(k)
+    edge = max(np.take(mag, cfg.grid.n // 2, axis=a).max() for a in range(cfg.grid.d))
+    peak = mag.max()
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     payload = {
@@ -483,6 +493,7 @@ def _suite_kernel_dump(cfg, out_dir):
         "t": format(t, ".17g"),
         "eta": format(eta, ".17g"),
         "file": "kernel.plsf",
+        "nyquist_ratio": format(edge / peak if peak > 0 else 0.0, ".17g"),
         "payload_sha256": digest,
     }
     emit_json(os.path.join(out_dir, "kernel-dump.json"), payload)

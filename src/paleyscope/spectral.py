@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,19 +30,15 @@ __all__ = [
     "SpaceGrid",
     "Field",
     "SpaceTimeField",
-    "KernelMultiplier",
     "to_frequency",
     "to_space",
     "apply_multiplier",
     "fractional_multiplier",
     "kernel_hat",
-    "synthesize_kernel",
     "cumulative_symbol_integrals",
     "Propagator",
     "dump_field",
     "load_field",
-    "aliasing_budget",
-    "warn_if_underresolved",
 ]
 
 @dataclass(frozen=True)
@@ -169,22 +164,6 @@ class SpaceTimeField:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.nt)
 
-    def slices(self):
-        """Iterate over (time, Field) pairs."""
-        for i, t in enumerate(self.times()):
-            yield t, Field(self.grid, self.values[i], self.domain)
-
-
-@dataclass(frozen=True)
-class KernelMultiplier:
-    """Frequency-side kernel K_hat(t, s, xi) tabulated on a grid."""
-
-    grid: SpaceGrid
-    s: float
-    t: float
-    eta: float
-    values: np.ndarray = field(repr=False)
-
 
 def _fft_axes(d):
     return tuple(range(-d, 0))
@@ -215,13 +194,8 @@ def to_space(f):
 def apply_multiplier(f, multiplier):
     """Apply a frequency multiplier to a space-domain field, returning space domain.
 
-    ``multiplier`` is an array over the grid shape (broadcast over channels)
-    or a :class:`KernelMultiplier` on the same grid.
+    ``multiplier`` is an array over the grid shape, broadcast over channels.
     """
-    if isinstance(multiplier, KernelMultiplier):
-        if multiplier.grid != f.grid:
-            raise ValueError("multiplier grid does not match field grid")
-        multiplier = multiplier.values
     multiplier = np.asarray(multiplier)
     if multiplier.shape != f.grid.shape:
         raise ValueError(f"multiplier must have grid shape {f.grid.shape}")
@@ -245,7 +219,7 @@ def fractional_multiplier(grid, eta):
 
 
 def kernel_hat(sym, s, t, eta, grid):
-    """Tabulate K_hat(t, s, xi) = |xi|^eta exp(int_s^t psi(r, xi) dr).
+    """K_hat(t, s, xi) = |xi|^eta exp(int_s^t psi(r, xi) dr) as an array of grid shape.
 
     At xi = 0 the exponential equals 1 exactly (the symbol vanishes there),
     so the zero mode is 0 when eta > 0 and 1 when eta = 0.
@@ -256,14 +230,7 @@ def kernel_hat(sym, s, t, eta, grid):
         raise ValueError("eta must be nonnegative")
     xi = grid.xi_grid()
     integral = sym.time_integral(float(s), float(t), xi)
-    vals = fractional_multiplier(grid, eta) * np.exp(integral)
-    return KernelMultiplier(grid=grid, s=float(s), t=float(t), eta=float(eta), values=vals)
-
-
-def synthesize_kernel(kmult):
-    """Space-side kernel slice: inverse transform of the multiplier, one channel."""
-    fhat = Field(kmult.grid, kmult.values[None, ...], domain="freq")
-    return to_space(fhat)
+    return fractional_multiplier(grid, eta) * np.exp(integral)
 
 
 def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
@@ -392,21 +359,3 @@ def load_field(path):
     vals = vals.reshape((k_h,) + grid.shape).astype(complex)
     return Field(grid, vals, domain="space")
 
-
-def aliasing_budget(grid, nu, gamma, t_min):
-    """Worst-case relative aliasing mass exp(-nu * t_min * |xi_max|^gamma)."""
-    xi_max = float(np.max(grid.abs_xi()))
-    return float(np.exp(-nu * t_min * xi_max ** gamma))
-
-
-def warn_if_underresolved(grid, nu, gamma, t_min, threshold=1e-12):
-    """Emit a RuntimeWarning when the decay budget exceeds the threshold."""
-    budget = aliasing_budget(grid, nu, gamma, t_min)
-    if budget >= threshold:
-        warnings.warn(
-            f"grid may be underresolved: decay budget {budget:.3e} >= {threshold:.0e} "
-            f"(n={grid.n}, L={grid.L}, gamma={gamma}, nu={nu}, t_min={t_min})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return budget

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,9 @@ class TestConfig:
         {"grid.nt": 64},
         {"symbol": {"family": "fractional", "gamma": 2.0, "nnu": 0.5}},
         {"symbol": {"family": [], "gamma": 2.0}},
+        {"corpus": {"seed": 2 ** 64}},
+        {"mc": {"seed": 2 ** 64}},
+        {"mc": {"entry": 2 ** 64}},
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, block):
         path = tmp_path / "bad.json"
@@ -99,6 +103,34 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "spde.json").exists()
+
+    def test_philox_key_words_stop_at_2_64(self, tmp_path, capsys):
+        # the seeds and the entry index are uint64 words of a Philox key
+        base = {"symbol": {"family": "fractional", "gamma": 2.0},
+                "grid": {"n": 16, "nt": 16}}
+        path = tmp_path / "seed.json"
+        for block, key in (("corpus", "seed"), ("mc", "seed"), ("mc", "entry")):
+            path.write_text(json.dumps({**base, block: {key: 2 ** 64}}))
+            assert main(["spde", "--config", str(path), "--out", str(tmp_path)]) == 2
+            assert f"{block}.{key} must be below 2**64" in capsys.readouterr().err
+        top = 2 ** 64 - 1
+        path.write_text(json.dumps({**base, "corpus": {"seed": top},
+                                    "mc": {"M": 8, "seed": top, "entry": top}}))
+        rc = main(["spde", "--config", str(path), "--out", str(tmp_path)])
+        assert rc in (0, 1)  # eight paths may miss the isometry tolerance
+        assert json.loads((tmp_path / "spde.json").read_text())["seed"] == top
+
+    @pytest.mark.parametrize("suite", ["lp-ratio", "sharp-bound", "spde"])
+    def test_corpus_suites_reject_a_grid_that_aliases_the_band(self, tmp_path,
+                                                               capsys, suite):
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps({"symbol": {"family": "fractional", "gamma": 2.0},
+                                    "grid": {"n": 8, "nt": 16}}))
+        out = tmp_path / "out"
+        assert main([suite, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid.n" in err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("flags, env", [
         (["--threads", "-1"], None),
@@ -432,6 +464,24 @@ class TestSuites:
         assert meta["payload_sha256"] == digest
         fld = ps.load_field(tmp_path / "kernel.plsf")
         assert fld.grid.n == 64
+
+    def test_kernel_dump_reports_its_nyquist_ratio(self, tmp_path, cli_config):
+        assert main(["kernel-dump", "--config", str(cli_config),
+                     "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "kernel-dump.json").read_text())
+        cfg = load_config(cli_config)
+        k = np.abs(ps.kernel_hat(cfg.symbol, 0.0, 0.1, 1.0, cfg.grid))
+        want = k[cfg.grid.n // 2] / k.max()  # the one n/2 mode at d = 1
+        assert float(meta["nyquist_ratio"]) == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(3.0262e-4, rel=1e-4)
+
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_suites_run_silent(self, tmp_path, cli_config, capfd, suite):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main([suite, "--config", str(cli_config), "--out", str(tmp_path)])
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
 
     def test_no_suite_prints_usage(self, capsys):
         assert main([]) == 2

@@ -65,3 +65,11 @@ def test_planar_entries(grid):
     f = ps.corpus_entry(g2, 8, 0)
     assert f.values.shape == (8, 1, 16, 16)
     assert np.all(f.values[0] == 0.0)
+
+
+def test_grid_that_aliases_the_band_is_refused():
+    # at n = 8 the modes j = +-4 land on one grid frequency
+    with pytest.raises(ValueError, match="grid.n"):
+        ps.corpus_entry(ps.SpaceGrid(d=1, n=8, L=20.0), 16, 0)
+    f = ps.corpus_entry(ps.SpaceGrid(d=1, n=16, L=20.0), 16, 0)
+    assert f.values.shape == (16, 1, 16)

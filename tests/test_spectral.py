@@ -110,19 +110,18 @@ class TestMultipliers:
         out = ps.apply_multiplier(f, grid.abs_xi() ** 2)
         np.testing.assert_allclose(out.values, xi0 ** 2 * f.values, rtol=1e-12)
 
-    def test_kernel_multiplier_wraps_metadata(self, grid):
+    def test_kernel_hat_is_a_grid_array(self, grid):
         sym = ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)
         km = ps.kernel_hat(sym, 0.0, 0.3, 1.0, grid)
-        assert km.s == 0.0 and km.t == 0.3 and km.eta == 1.0
-        assert km.values.shape == (64,)
-        assert km.values[0] == 0.0  # positive eta kills the zero mode
+        assert km.shape == (64,)
+        assert km[0] == 0.0  # positive eta kills the zero mode
 
 
 class TestKernelSynthesis:
     def test_heat_kernel_mass_and_positivity(self):
         g = ps.SpaceGrid(d=1, n=256, L=20.0)
         sym = ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)
-        K = ps.synthesize_kernel(ps.kernel_hat(sym, 0.0, 0.1, 0.0, g))
+        K = ps.to_space(ps.Field(g, ps.kernel_hat(sym, 0.0, 0.1, 0.0, g)[None], domain="freq"))
         mass = np.sum(K.values[0].real) * g.h
         assert mass == pytest.approx(1.0, abs=1e-12)
         assert np.min(K.values[0].real) > -1e-12
@@ -130,7 +129,7 @@ class TestKernelSynthesis:
     def test_unit_eta_kernel_has_zero_mean(self):
         g = ps.SpaceGrid(d=1, n=256, L=20.0)
         sym = ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)
-        K = ps.synthesize_kernel(ps.kernel_hat(sym, 0.0, 0.1, 1.0, g))
+        K = ps.to_space(ps.Field(g, ps.kernel_hat(sym, 0.0, 0.1, 1.0, g)[None], domain="freq"))
         assert np.sum(K.values[0]) * g.h == pytest.approx(0.0, abs=1e-12)
 
     def test_cumulative_integrals_match_scalar_route(self, grid):
@@ -200,16 +199,3 @@ class TestFieldFormat:
         with pytest.raises(ValueError):
             ps.dump_field(ps.to_frequency(f), tmp_path / "bad.plsf")
 
-
-class TestResolutionGuard:
-    def test_budget_decreases_with_resolution(self):
-        g1 = ps.SpaceGrid(d=1, n=64, L=20.0)
-        g2 = ps.SpaceGrid(d=1, n=128, L=20.0)
-        b1 = ps.aliasing_budget(g1, 0.5, 2.0, 0.05)
-        b2 = ps.aliasing_budget(g2, 0.5, 2.0, 0.05)
-        assert 0.0 <= b2 < b1 < 1.0
-
-    def test_warns_on_coarse_grid(self):
-        g = ps.SpaceGrid(d=1, n=8, L=20.0)
-        with pytest.warns(RuntimeWarning):
-            ps.warn_if_underresolved(g, 0.5, 2.0, 1e-4)
