@@ -73,8 +73,6 @@ from .symbols import (
     PolyFormSymbol,
     check_ellipticity,
     check_levy_cancellation,
-    eval_symbol,
-    symbol_time_integral,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "FractionalSymbol", "PolyFormSymbol", "LevySymbol", "EllipticityReport",
-    "eval_symbol", "symbol_time_integral", "check_ellipticity",
-    "check_levy_cancellation",
+    "check_ellipticity", "check_levy_cancellation",
     "SpaceGrid", "Field", "SpaceTimeField",
     "to_frequency", "to_space", "apply_multiplier", "fractional_multiplier",
     "kernel_hat", "cumulative_symbol_integrals", "Propagator",

@@ -502,7 +502,10 @@ def _suite_kernel_dump(cfg, out_dir):
 
 def run_experiment(suite, cfg, out_dir, threads=None, args=None):
     """Dispatch one suite; returns True when every asserted check passed."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {out_dir!r} is not a usable directory: {e.strerror}") from None
     run = {"assumptions": lambda: _suite_assumptions(cfg, out_dir),
            "lp-ratio": lambda: _suite_lp_ratio(cfg, out_dir, threads),
            "sharp-bound": lambda: _suite_sharp_bound(cfg, out_dir, threads),

@@ -269,6 +269,20 @@ class Propagator:
         """
         return np.exp(np.diff(self.integrals, axis=0))
 
+    @cached_property
+    def support(self):
+        """Flat grid indices, ascending, of the modes where ``fhat`` lives.
+
+        A mode belongs when its peak |fhat| over times and channels exceeds
+        64 eps times the peak over all modes: the forward FFT's worst-case
+        rounding, about 5 log2(n^d) eps ||fhat||_2, already reaches that
+        size on any coefficient, so a mode below it carries nothing the
+        transform resolved.  Empty for an all-zero field.
+        """
+        size = self.grid.n ** self.grid.d
+        peak = np.abs(self.fhat).reshape(-1, size).max(axis=0)
+        return np.flatnonzero(peak > 64 * np.finfo(float).eps * peak.max())
+
     def to_space(self, values):
         """Inverse transform of a frequency-side array over its grid axes."""
         return _inverse(self.grid, values)

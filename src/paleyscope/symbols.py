@@ -30,8 +30,6 @@ __all__ = [
     "PolyFormSymbol",
     "LevySymbol",
     "EllipticityReport",
-    "eval_symbol",
-    "symbol_time_integral",
     "check_ellipticity",
     "check_levy_cancellation",
 ]
@@ -401,16 +399,6 @@ class EllipticityReport:
     @property
     def passed(self) -> bool:
         return self.pass_a1 and self.pass_a2
-
-
-def eval_symbol(sym, t, xi):
-    """Evaluate psi(t, xi) at a scalar time and a single frequency vector."""
-    return complex(sym.eval(float(t), xi))
-
-
-def symbol_time_integral(sym, s, t, xi):
-    """Exact integral of psi(r, xi) over r in [s, t] for one frequency vector."""
-    return complex(sym.time_integral(float(s), float(t), xi))
 
 
 def _stencil_1d(order, step):

@@ -27,14 +27,14 @@ def quad_profile(sym, eta, xi, s):
     weight = np.linalg.norm(xi) ** (2 * eta)
 
     def integrand(t):
-        return weight * np.exp(2.0 * ps.symbol_time_integral(sym, s, t, xi).real)
+        return weight * np.exp(2.0 * sym.time_integral(s, t, xi).real)
 
     def piece(f, a, b):
         return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
     edges = [s, *(float(b) for b in sym.breakpoints if b > s)]
     last = edges[-1]
-    rate = -2.0 * ps.eval_symbol(sym, last, xi).real
+    rate = -2.0 * sym.eval(last, xi).real
     tail = piece(lambda u: integrand(last + u / rate), 0.0, np.inf) / rate
     return sum(piece(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])) + tail
 

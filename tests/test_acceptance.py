@@ -213,21 +213,21 @@ def test_jump_symbol_homogeneity_and_margin():
             k=1, gamma=gamma, density=([0.0], [[0.7, 1.3]]), d=1)
         power = 2 * sym.k + gamma
         for xi in probes:
-            base = ps.eval_symbol(sym, 0.2, xi)
-            scaled = ps.eval_symbol(sym, 0.2, [lam * xi[0]])
+            base = sym.eval(0.2, xi)
+            scaled = sym.eval(0.2, [lam * xi[0]])
             assert abs(scaled - lam ** power * base) <= 1e-10 * abs(scaled)
 
     # gamma = 1 requires the first sphere moment to cancel
     sym1 = ps.LevySymbol(k=0, gamma=1.0, density=([0.0], [[1.0, 1.0]]), d=1)
     np.testing.assert_allclose(ps.check_levy_cancellation(sym1, 0.0), 0.0)
     for xi in probes:
-        base = ps.eval_symbol(sym1, 0.2, xi)
-        scaled = ps.eval_symbol(sym1, 0.2, [lam * xi[0]])
+        base = sym1.eval(0.2, xi)
+        scaled = sym1.eval(0.2, [lam * xi[0]])
         assert abs(scaled - lam * base) <= 1e-10 * abs(scaled)
 
     # a uniform density is isotropic: psi = -const |xi|^{2k + gamma}
     flat = ps.LevySymbol(k=0, gamma=0.5, density=([0.0], [[1.0, 1.0]]), d=1)
-    vals = np.array([ps.eval_symbol(flat, 0.0, xi) for xi in probes])
+    vals = np.array([flat.eval(0.0, xi) for xi in probes])
     norms = np.array([abs(xi[0]) for xi in probes])
     assert np.max(np.abs(vals.imag)) == 0.0
     scale = vals.real / (-norms ** 0.5)
@@ -239,7 +239,7 @@ def test_jump_symbol_homogeneity_and_margin():
     for sym, unit in ((flat, [[1.0], [-1.0]]),
                       (circle, [[np.cos(a), np.sin(a)]
                                 for a in np.linspace(0, np.pi, 7)])):
-        worst = max(ps.eval_symbol(sym, 0.0, u).real for u in unit)
+        worst = max(sym.eval(0.0, u).real for u in unit)
         assert worst <= -sym.N0
 
 

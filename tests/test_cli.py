@@ -59,7 +59,7 @@ class TestConfig:
         sym = build_symbol(
             {"family": "fractional", "gamma": 2.0, "a": [1.0, 0.3],
              "nu": 0.5})
-        assert ps.eval_symbol(sym, 0.0, 1.0) == pytest.approx(-1.0 - 0.3j)
+        assert sym.eval(0.0, 1.0) == pytest.approx(-1.0 - 0.3j)
 
     @pytest.mark.parametrize("block", [
         {"grid": {"nt": "abc"}},
@@ -224,6 +224,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert "__init__" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/below"])
+    def test_unusable_out_is_a_usage_error(self, tmp_path, capsys, cli_config, out):
+        # an existing file, and a path under one
+        (tmp_path / "taken").write_text("keep")
+        rc = main(["lp-ratio", "--config", str(cli_config),
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "keep"
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         rc = main(["lp-ratio", "--config", str(tmp_path / "none.json"),

@@ -141,7 +141,7 @@ class TestKernelSynthesis:
         xi = grid.xi_grid()[..., 0]
         for i in (0, 3, 8):
             direct = np.array([
-                ps.symbol_time_integral(sym, t0, t0 + i * dt, v)
+                sym.time_integral(t0, t0 + i * dt, v)
                 for v in xi])
             np.testing.assert_allclose(table[i], direct, atol=1e-13)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope import squarefn
 
 from conftest import exp_decay
 
@@ -148,6 +149,105 @@ class TestCarriedRecursion:
         got = ps.square_function(sym, eta, f).values
         np.testing.assert_allclose(got, _square_function_reference(sym, eta, f),
                                    rtol=1e-12)
+
+
+def _assert_routes_match_reference(sym, eta, f):
+    """Both routes of square_function against the direct loop: rtol 1e-12,
+    atol 1e-12 max G."""
+    want = _square_function_reference(sym, eta, f)
+    for route in (squarefn._support_route, squarefn._fft_route):
+        got = route(ps.Propagator(sym, f), eta, f.dt)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max(),
+                                   err_msg=route.__name__)
+
+
+def _on_modes(grid, nt, modes, seed=0):
+    """Random two-channel field whose transform lives on the flat ``modes``."""
+    rng = np.random.default_rng(seed)
+    fhat = np.zeros((nt, 2, grid.n ** grid.d), complex)
+    fhat[..., modes] = (rng.standard_normal((nt, 2, len(modes)))
+                        + 1j * rng.standard_normal((nt, 2, len(modes))))
+    return ps.to_space(ps.SpaceTimeField(
+        grid=grid, t0=0.0, dt=0.07, values=fhat.reshape((nt, 2) + grid.shape),
+        domain="freq"))
+
+
+@pytest.fixture()
+def route_log(monkeypatch):
+    """Names of the routes square_function takes, in call order."""
+    taken = []
+    for name in ("_support_route", "_fft_route"):
+        real = getattr(squarefn, name)
+
+        def logged(*args, _real=real, _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(squarefn, name, logged)
+    return taken
+
+
+class TestSupportRoute:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_corpus_matches_the_direct_loop(self, d, family, entry):
+        sym = _two_piece_families(d)[family]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(grid, 12, entry, t_window=0.77)
+        prop = ps.Propagator(sym, f)
+        assert prop.support.size == (8 if d == 1 else 80)
+        _assert_routes_match_reference(sym, sym.order / 2, f)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_an_out_of_band_mode_enters_the_support(self, d):
+        sym = _two_piece_families(d)[0]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(grid, 12, 1, t_window=0.77)
+        fhat = ps.to_frequency(f).values.reshape(12, 3, -1)
+        mode = 7 if d == 1 else np.ravel_multi_index((6, 10), grid.shape)
+        fhat[1:-1, 1, mode] = 1e-3 * np.abs(fhat).max()
+        g = ps.to_space(ps.SpaceTimeField(grid=grid, t0=f.t0, dt=f.dt, domain="freq",
+                                          values=fhat.reshape(f.values.shape)))
+        support = ps.Propagator(sym, g).support
+        assert mode in support
+        assert support.size == ps.Propagator(sym, f).support.size + 1
+        _assert_routes_match_reference(sym, sym.order / 2, g)
+
+    def test_zero_field_has_empty_support(self, heat):
+        grid = ps.SpaceGrid(d=1, n=16, L=12.0)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.1,
+                              values=np.zeros((5, 1, 16), complex))
+        assert ps.Propagator(heat, f).support.size == 0
+        assert np.all(ps.square_function(heat, 1.0, f).values == 0.0)
+
+    def test_full_support_takes_the_fft_loop(self, route_log):
+        sym = _two_piece_families(1)[1]
+        grid = ps.SpaceGrid(d=1, n=32, L=12.0)
+        f = _on_modes(grid, 12, np.arange(32))
+        assert ps.Propagator(sym, f).support.size == 32
+        got = ps.square_function(sym, sym.order / 2, f).values
+        assert route_log == ["_fft_route"]
+        _assert_routes_match_reference(sym, sym.order / 2, f)
+        np.testing.assert_array_equal(
+            got, squarefn._fft_route(ps.Propagator(sym, f), sym.order / 2, f.dt))
+
+    @pytest.mark.parametrize("d, m, route", [
+        (1, 16, "_support_route"), (1, 17, "_fft_route"),
+        (2, 32, "_support_route"), (2, 33, "_fft_route"),
+    ])
+    def test_the_crossover_is_m_squared_at_nt_n_to_the_d(self, route_log, d, m, route):
+        # nt n^d is 256 at d = 1 (n = 32, nt = 8) and 1024 at d = 2 (n = 16, nt = 4)
+        sym = _two_piece_families(d)[2]
+        n, nt = (32, 8) if d == 1 else (16, 4)
+        grid = ps.SpaceGrid(d=d, n=n, L=12.0)
+        modes = np.random.default_rng(m).choice(n ** d, m, replace=False)
+        f = _on_modes(grid, nt, modes, seed=d)
+        assert ps.Propagator(sym, f).support.size == m
+        ps.square_function(sym, sym.order / 2, f)
+        assert route_log == [route]
+        _assert_routes_match_reference(sym, sym.order / 2, f)
 
 
 class TestParsevalNorm:

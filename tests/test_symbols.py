@@ -11,24 +11,24 @@ import paleyscope as ps
 class TestFractional:
     def test_eval_picks_the_active_piece(self):
         sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5]), nu=0.5)
-        assert ps.eval_symbol(sym, 0.25, 1.0) == pytest.approx(-1.0)
-        assert ps.eval_symbol(sym, 0.75, 1.0) == pytest.approx(-1.5)
+        assert sym.eval(0.25, 1.0) == pytest.approx(-1.0)
+        assert sym.eval(0.75, 1.0) == pytest.approx(-1.5)
         # before the first breakpoint the first piece extends left
-        assert ps.eval_symbol(sym, -1.0, 1.0) == pytest.approx(-1.0)
+        assert sym.eval(-1.0, 1.0) == pytest.approx(-1.0)
 
     def test_time_integral_exact_across_pieces(self):
         sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5]), nu=0.5)
         # 0.25 * (-1) + 0.25 * (-1.5) at |xi| = 1
-        assert ps.symbol_time_integral(sym, 0.25, 0.75, 1.0) == pytest.approx(
+        assert sym.time_integral(0.25, 0.75, 1.0) == pytest.approx(
             -0.625, abs=1e-15)
         # scaling in |xi|^gamma
-        assert ps.symbol_time_integral(sym, 0.25, 0.75, 2.0) == pytest.approx(
+        assert sym.time_integral(0.25, 0.75, 2.0) == pytest.approx(
             -2.5, abs=1e-14)
 
     def test_time_integral_rejects_reversed_interval(self):
         sym = ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)
         with pytest.raises(ValueError):
-            ps.symbol_time_integral(sym, 1.0, 0.5, 1.0)
+            sym.time_integral(1.0, 0.5, 1.0)
 
     def test_constructor_enforces_coefficient_window(self):
         with pytest.raises(ValueError):
@@ -58,16 +58,16 @@ class TestFractional:
             gamma=1.5, a=([0.0, 0.3, 0.7], [1.0 + 0.2j, 0.8, 1.2 - 0.1j]), nu=0.5)
         m = s + gap1
         t = m + gap2
-        whole = ps.symbol_time_integral(sym, s, t, xi)
-        split = (ps.symbol_time_integral(sym, s, m, xi)
-                 + ps.symbol_time_integral(sym, m, t, xi))
+        whole = sym.time_integral(s, t, xi)
+        split = (sym.time_integral(s, m, xi)
+                 + sym.time_integral(m, t, xi))
         assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
 class TestPolyForm:
     def test_quartic_eval(self):
         sym = ps.PolyFormSymbol(m=2, coeffs={((2,), (2,)): 1.0}, nu=0.5)
-        assert ps.eval_symbol(sym, 0.0, 2.0) == pytest.approx(-16.0)
+        assert sym.eval(0.0, 2.0) == pytest.approx(-16.0)
         assert sym.order == 4
         assert sym.family == "polyform"
 
@@ -95,7 +95,7 @@ class TestPolyForm:
             m=1,
             coeffs={((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0},
             nu=0.5)
-        assert ps.eval_symbol(sym, 0.0, [3.0, 4.0]) == pytest.approx(-25.0)
+        assert sym.eval(0.0, [3.0, 4.0]) == pytest.approx(-25.0)
         assert sym.dim == 2
 
 
@@ -103,22 +103,22 @@ class TestLevy:
     def test_line_reduction_is_exact(self):
         sym = ps.LevySymbol(k=0, gamma=0.5, density=([0.0], [[1.0, 1.0]]), d=1)
         # two unit nodes with unit density: psi = -2 |xi|^gamma
-        assert ps.eval_symbol(sym, 0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
-        assert ps.eval_symbol(sym, 0.0, 4.0) == pytest.approx(-4.0, abs=1e-14)
+        assert sym.eval(0.0, 1.0) == pytest.approx(-2.0, abs=1e-14)
+        assert sym.eval(0.0, 4.0) == pytest.approx(-4.0, abs=1e-14)
         assert sym.order == pytest.approx(0.5)
 
     def test_symmetric_density_kills_imaginary_part(self):
         for gam in (0.5, 1.0, 1.5):
             sym = ps.LevySymbol(
                 k=1, gamma=gam, density=([0.0], [[1.0, 1.0]]), d=1)
-            val = ps.eval_symbol(sym, 0.0, 1.7)
+            val = sym.eval(0.0, 1.7)
             assert val.imag == 0.0
             assert val.real < 0.0
 
     def test_asymmetric_density_is_hermitian(self):
         sym = ps.LevySymbol(k=0, gamma=0.5, density=([0.0], [[1.0, 2.0]]), d=1)
-        plus = ps.eval_symbol(sym, 0.0, 1.3)
-        minus = ps.eval_symbol(sym, 0.0, -1.3)
+        plus = sym.eval(0.0, 1.3)
+        minus = sym.eval(0.0, -1.3)
         assert minus == pytest.approx(np.conj(plus), rel=1e-14)
         assert plus.imag != 0.0
 
@@ -126,7 +126,7 @@ class TestLevy:
         # on the circle some nodes are orthogonal to xi; 0*log 0 must be 0
         sym = ps.LevySymbol(
             k=0, gamma=1.0, density=([0.0], [[1.0] * 64]), d=2, nodes=64)
-        val = ps.eval_symbol(sym, 0.0, [1.0, 0.0])
+        val = sym.eval(0.0, [1.0, 0.0])
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
     def test_table_shape_validation(self):
