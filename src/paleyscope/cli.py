@@ -431,6 +431,7 @@ def _suite_spde(cfg, out_dir):
         "isometry_rel_error": format(iso.value, ".17g"),
         "isometry_std_error": format(iso.std_error, ".17g"),
         "excess_kurtosis": format(kurt, ".17g"),
+        "kurtosis_std_error": format(math.sqrt(24 / M), ".17g"),
         "checks": {k: bool(v) for k, v in sorted(checks.items())},
     }
     emit_json(os.path.join(out_dir, "spde.json"), payload)

@@ -7,7 +7,8 @@ The mild solution with zero initial data is the stochastic convolution
 discretized with the left-point rule, which is exact in distribution for
 deterministic integrands sampled at grid times.  Increments come from a
 counter-based generator keyed on (seed, path), so every path is reproducible
-in isolation and ensembles parallelize without shared state.
+in isolation and ensembles parallelize without shared state.  Each thread
+re-keys one ``Philox`` generator per path rather than constructing one.
 
 All convolutions happen on the frequency side through the
 :class:`~paleyscope.spectral.Propagator` of the forcing: with I[j] the
@@ -22,10 +23,18 @@ every time is needed, the same sum is carried forward by the
 exponential-integrator recursion
 
     u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k fhat^k(s_{i-1}) dW^k_{i-1}).
+
+The ensemble routes run on the m columns of the forcing's spectral
+support (``Propagator.on_support``), since u_hat vanishes wherever every
+fhat^k does; a block goes back to the grid (``Propagator.to_grid``), zero
+off the support, only for the inverse transform that reads space values.
+The single path of :func:`stochastic_convolution` runs on the whole grid,
+where u(t_i) reads slices j < i only, bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +108,35 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
+_rng = threading.local()
+
+
 def sample_brownian_increments(spec, path):
-    """Increment table dW[k, j] ~ N(0, dt), reproducible per (seed, path)."""
-    key = np.array([spec.seed, path], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    """Increment table dW[k, j] ~ N(0, dt), reproducible per (seed, path).
+
+    The bits are those of a fresh ``Generator(Philox(key=[seed, path]))``.
+    Each thread holds one such generator and re-keys it, with counter and
+    buffer reset, instead of constructing one per path: a constructor
+    first draws OS entropy for a seed sequence that the key then replaces.
+    """
+    rng = getattr(_rng, "generator", None)
+    if rng is None:
+        rng = _rng.generator = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([spec.seed, path], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return rng.standard_normal((spec.K, spec.nt)) * np.sqrt(spec.dt)
+
+
+def _check_paths(M):
+    if M < 2:
+        raise ValueError("M must be at least 2")
 
 
 def _check_compatible(f, spec):
@@ -116,42 +149,46 @@ def _check_compatible(f, spec):
 
 
 def _convolved_slices(prop, t_index):
-    """Frequency-side convolved slices (p(t*, s_j) * f^k(s_j)) for j < t*.
+    """Convolved slices (p(t*, s_j) * f^k(s_j)) for j < t* on the support.
 
-    Shape ``(nt, K) + grid.shape``; slices at j >= t_index stay zero.  The
-    factors exp(I[i] - I[j]) = e_{j+1} ... e_i are the backward cumulative
-    products of the step factors, each of modulus at most 1, so elliptic
-    decay cannot overflow.
+    Shape ``(nt, K, m)`` over the m columns of ``prop.on_support``; slices
+    at j >= t_index stay zero.  The factors exp(I[i] - I[j]) =
+    e_{j+1} ... e_i are the backward cumulative products of the step
+    factors, each of modulus at most 1, so elliptic decay cannot overflow.
     """
-    conv_hat = np.zeros_like(prop.fhat)
-    factors = np.cumprod(prop.step[:t_index][::-1], axis=0)[::-1]
-    conv_hat[:t_index] = factors[:, None] * prop.fhat[:t_index]
-    return conv_hat
+    _, fhat, step = prop.on_support
+    conv = np.zeros_like(fhat)
+    factors = np.cumprod(step[:t_index][::-1], axis=0)[::-1]
+    conv[:t_index] = factors[:, None] * fhat[:t_index]
+    return conv
 
 
 def _contract(prop, dw, t_index):
     """u_hat(t_i)[m] = sum_{k, j < i} dW[m, k, j] exp(I[i] - I[j]) fhat[j, k].
 
-    The sum at one time, formed directly (:func:`_advance` carries it over
-    all times).  The whole ``(M, K, nt)`` block is contracted against the
-    zero-padded slices, so no slice of the block is copied.  Returns shape
-    ``(M,) + grid.shape``.
+    The sum at one time on the support columns, formed directly
+    (:func:`_advance` carries it over all times).  The whole ``(M, K, nt)``
+    block is contracted against the zero-padded slices, so no slice of the
+    block is copied.  Returns shape ``(M, m)``.
     """
     return np.tensordot(dw, _convolved_slices(prop, t_index), axes=([1, 2], [1, 0]))
 
 
-def _advance(prop, dw):
+def _advance(prop, dw, on_grid=False):
     """Yield u_hat(t_i) for i = 1 .. nt - 1 of every path in the block ``dw``.
 
     u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k dW[:, k, i-1] fhat[i-1, k]) from
-    u_hat(t_0) = 0: the sum :func:`_contract` forms, carried one step at a
-    time, so each step costs O(M * K * n^d) whatever nt is.  The yielded
-    array is replaced, not modified, by the next step.
+    u_hat(t_0) = 0 on the m support columns of ``prop.on_support``, shape
+    ``(M, m)``, or with ``on_grid`` on every mode, shape ``(M,) +
+    grid.shape``.  This is the sum :func:`_contract` forms, carried one
+    step at a time, so each step costs O(M * K) per mode whatever nt is.
+    The yielded array is replaced, not modified, by the next step.
     """
-    u = np.zeros((dw.shape[0],) + prop.grid.shape, dtype=complex)
-    for i in range(1, prop.fhat.shape[0]):
-        forced = np.tensordot(dw[:, :, i - 1], prop.fhat[i - 1], axes=1)
-        u = prop.step[i - 1] * (u + forced)
+    fhat, step = (prop.fhat, prop.step) if on_grid else prop.on_support[1:]
+    u = np.zeros(dw.shape[:1] + step.shape[1:], dtype=complex)
+    for i in range(1, fhat.shape[0]):
+        forced = np.tensordot(dw[:, :, i - 1], fhat[i - 1], axes=1)
+        u = step[i - 1] * (u + forced)
         yield u
 
 
@@ -171,12 +208,13 @@ def simulate_ensemble(sym, f, spec, M, base_path=0):
     """Solution fields of M paths at the last grid time.
 
     The increments of all paths are drawn as one block, which costs one
-    contraction and one inverse transform.
+    contraction on the support columns and one inverse transform.
     """
+    _check_paths(M)
     _check_compatible(f, spec)
     prop = Propagator(sym, f)
     dw = _increment_block(spec, M, base_path)
-    values = prop.to_space(_contract(prop, dw, f.nt - 1))
+    values = prop.to_space(prop.to_grid(_contract(prop, dw, f.nt - 1)))
     return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
                         values=values, propagator=prop)
 
@@ -187,11 +225,16 @@ def stochastic_convolution(sym, f, spec, path):
     ``f`` holds the K deterministic forcing channels; causality makes
     u(t_0) = 0 and u(t_i) depend only on increments with j < i.  One
     :func:`_advance` pass records every time, at O(nt) steps per path.
+
+    The pass runs on the whole grid, not on the support: the support is
+    the peak over all times, so a later slice that added a mode would move
+    earlier times by that mode's forward-FFT rounding.  On the grid u(t_i)
+    reads the forcing slices j < i only, bit for bit.
     """
     _check_compatible(f, spec)
     prop = Propagator(sym, f)
     u_hat = np.zeros((f.nt, 1) + f.grid.shape, dtype=complex)
-    u_hat[1:] = list(_advance(prop, _increment_block(spec, 1, path)))
+    u_hat[1:] = list(_advance(prop, _increment_block(spec, 1, path), on_grid=True))
     return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
                           values=prop.to_space(u_hat), domain="space")
 
@@ -226,8 +269,11 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     reports the deterministic square-function pathway (||G f||_p/||f||_p)^p
     with the same eta, from :func:`~paleyscope.squarefn.lp_ratio` (so
     without forming G at p = 2).  All M paths are advanced together by
-    :func:`_advance`, one time step at a time, from a single increment block.
+    :func:`_advance` on the support columns, one time step at a time, from a
+    single increment block; each step puts them on the grid
+    (``Propagator.to_grid``) for its one inverse transform.
     """
+    _check_paths(M)
     if p < 2:
         raise ValueError("p must be at least 2")
     if derivative_order < 0:
@@ -239,11 +285,11 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     if norm_f == 0.0:
         return MomentEstimate(value=0.0, std_error=0.0, M=M, majorant=0.0)
     prop = Propagator(sym, f)
-    riesz = fractional_multiplier(g, eta)
+    riesz = prop.columns(fractional_multiplier(g, eta))
     dw = _increment_block(spec, M, base_path)
     sums = np.zeros(M)
     for u_hat in _advance(prop, dw):
-        mag = np.abs(prop.to_space(riesz * u_hat))
+        mag = np.abs(prop.to_space(prop.to_grid(riesz * u_hat)))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p

@@ -244,6 +244,11 @@ def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
     return sym.time_integral(t0, t0 + dt * np.arange(nt), grid.xi_grid())
 
 
+def _step_factors(integrals):
+    """exp(I[i] - I[i-1]) along the first axis: the one exponential of the integrals."""
+    return np.exp(np.diff(integrals, axis=0))
+
+
 class Propagator:
     """The evolution of ``sym`` applied to the slices of a space-time field.
 
@@ -267,7 +272,7 @@ class Propagator:
         overflow; the product of rows j .. i - 1 is exp(I[i] - I[j]) up to
         rounding.
         """
-        return np.exp(np.diff(self.integrals, axis=0))
+        return _step_factors(self.integrals)
 
     @cached_property
     def support(self):
@@ -282,6 +287,49 @@ class Propagator:
         size = self.grid.n ** self.grid.d
         peak = np.abs(self.fhat).reshape(-1, size).max(axis=0)
         return np.flatnonzero(peak > 64 * np.finfo(float).eps * peak.max())
+
+    @cached_property
+    def on_support(self):
+        """``(support, columns(fhat), step on the support columns)``.
+
+        The slices have shape ``(nt, K_H, m)`` and the step factors
+        ``(nt - 1, m)`` for the m modes of :attr:`support`; the factors are
+        exponentiated on those columns only, which gives the bits of
+        :attr:`step` restricted afterwards.  When the support is the whole
+        grid, both are reshaped views of ``fhat`` and ``step``.
+        """
+        if self.support.size == self.grid.n ** self.grid.d:
+            step = self.columns(self.step)
+        else:
+            step = _step_factors(self.columns(self.integrals))
+        return self.support, self.columns(self.fhat), step
+
+    def columns(self, values):
+        """``values`` on the :attr:`support` modes: the last d (grid) axes
+        become one axis of length m, in the order of :attr:`support`.
+
+        A reshaped view when the support is the whole grid.
+        """
+        g = self.grid
+        flat = values.reshape(values.shape[:values.ndim - g.d] + (g.n ** g.d,))
+        if self.support.size == flat.shape[-1]:
+            return flat
+        return flat[..., self.support]
+
+    def to_grid(self, columns):
+        """Support columns, shape ``lead + (m,)``, as ``lead + grid.shape``.
+
+        The inverse of :meth:`columns` for values that vanish off the
+        support: the result is zero there, and a reshape when the support
+        is the whole grid.
+        """
+        g = self.grid
+        lead = columns.shape[:-1]
+        if self.support.size == g.n ** g.d:
+            return columns.reshape(lead + g.shape)
+        out = np.zeros(lead + (g.n ** g.d,), dtype=columns.dtype)
+        out[..., self.support] = columns
+        return out.reshape(lead + g.shape)
 
     def to_space(self, values):
         """Inverse transform of a frequency-side array over its grid axes."""
@@ -301,11 +349,14 @@ class Propagator:
         """Raw inverse FFT over the grid axes, without phase or scale."""
         return np.fft.ifftn(values, axes=_fft_axes(self.grid.d))
 
-    def to_point(self, values, x_index):
-        """``to_space(values)`` at the grid point ``x_index`` only.
+    def to_point(self, columns, x_index):
+        """The inverse transform at the grid point ``x_index`` of support columns.
 
-        Contracts the last d axes with the inverse-transform row of that
-        point, so the cost is one dot product rather than a full transform.
+        ``columns`` holds values on the :attr:`support` modes in its last
+        axis (as :meth:`columns` lays them out), zero elsewhere.  They are
+        contracted with the inverse-transform row of that point on the
+        support, so the cost is one dot product of length m rather than a
+        full transform.
         """
         g = self.grid
         k = np.arange(g.n)
@@ -313,7 +364,7 @@ class Propagator:
         for x in x_index:
             row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % g.n) / g.n))
         row = g.phase() * row / (g.n * g.h) ** g.d
-        return np.tensordot(values, row, axes=g.d)
+        return np.tensordot(columns, self.columns(row), axes=1)
 
 
 _HEADER = struct.Struct("<4sIIId")  # magic, d, n, K_H, L; padded to 32 bytes

@@ -135,10 +135,14 @@ def square_function(sym, eta, f):
     return SquareField(grid=g, t0=f.t0, dt=f.dt, values=route(prop, eta, f.dt))
 
 
-def _amplitudes(prop, eta, dt):
-    """The amplitude block a_j of :func:`square_function`, over the whole grid."""
-    amp = prop.fhat * (fractional_multiplier(prop.grid, eta)
-                       * prop.inverse_factor(np.sqrt(dt)))
+def _amplitudes(prop, eta, dt, on_support=False):
+    """The amplitude block a_j of :func:`square_function`, over the whole
+    grid or, with ``on_support``, on the support columns of ``prop``."""
+    factor = fractional_multiplier(prop.grid, eta) * prop.inverse_factor(np.sqrt(dt))
+    if on_support:
+        amp = prop.on_support[1] * prop.columns(factor)
+    else:
+        amp = prop.fhat * factor
     amp[0] *= np.sqrt(0.5)
     return amp
 
@@ -157,9 +161,8 @@ def _support_route(prop, eta, dt):
     g = prop.grid
     size = g.n ** g.d
     nt = prop.fhat.shape[0]
-    keep = prop.support
-    a = _amplitudes(prop, eta, dt).reshape(nt, -1, size)[..., keep]
-    e = prop.step.reshape(nt - 1, size)[:, keep]
+    keep, _, e = prop.on_support
+    a = _amplitudes(prop, eta, dt, on_support=True)
     # difference frequency of each pair, one index per real and imaginary part
     modes = np.unravel_index(keep, g.shape)
     delta = np.ravel_multi_index([(ax[:, None] - ax[None, :]) % g.n for ax in modes],

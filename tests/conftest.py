@@ -46,6 +46,32 @@ def exp_decay(prop, i, stop):
     return np.exp(prop.integrals[i][None] - prop.integrals[:stop])
 
 
+def two_piece_families(d):
+    """Fractional, polyform and Levy symbols whose coefficients jump at t = 0.5."""
+    if d == 1:
+        poly = {((2,), (2,)): ([0.0, 0.5], [1.0, 2.0 + 0.3j])}
+        levy = ([0.0, 0.5], [[1.0, 1.0], [0.5, 1.5]])
+    else:
+        poly = {((1, 0), (1, 0)): ([0.0, 0.5], [1.0, 1.5]),
+                ((0, 1), (0, 1)): ([0.0, 0.5], [1.0, 0.8 + 0.2j])}
+        levy = ([0.0, 0.5], [np.ones(16), 1.0 + 0.5 * np.cos(
+            2 * np.pi * np.arange(16) / 16)])
+    return [
+        ps.FractionalSymbol(gamma=1.5, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5),
+        ps.PolyFormSymbol(m=2 if d == 1 else 1, coeffs=poly, nu=0.5),
+        ps.LevySymbol(k=0, gamma=0.5, d=d, density=levy, nodes=16),
+    ]
+
+
+def with_out_of_band_mode(f, mode):
+    """``f`` plus flat mode ``mode`` on channel 1 of the inner slices, at
+    1e-3 of the peak |fhat|: a mode outside the corpus band."""
+    fhat = ps.to_frequency(f).values.reshape(f.nt, f.k_h, -1)
+    fhat[1:-1, 1, mode] = 1e-3 * np.abs(fhat).max()
+    return ps.to_space(ps.SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt, domain="freq",
+                                         values=fhat.reshape(f.values.shape)))
+
+
 @pytest.fixture(scope="session")
 def heat():
     return ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -417,6 +418,13 @@ class TestSuites:
         assert payload["suite"] == "spde"
         assert float(payload["isometry_rel_error"]) < 0.05
         assert payload["checks"]["isometry"] is True
+
+    def test_spde_reports_the_kurtosis_standard_error(self, tmp_path, cli_config):
+        # the standard error of the sample excess kurtosis of a Gaussian
+        main(["spde", "--config", str(cli_config), "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "spde.json").read_text())
+        M = payload["M"]
+        assert payload["kurtosis_std_error"] == format(math.sqrt(24 / M), ".17g")
 
     def test_spde_channel_count_defaults_to_the_entry(self, tmp_path):
         # corpus entry 0 has one channel; mc.K is not given

@@ -1,12 +1,13 @@
 """Stochastic convolution: reproducible noise, isometry, moments, causality."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import spde
 
-from conftest import exp_decay
+from conftest import exp_decay, two_piece_families, with_out_of_band_mode
 
 
 @pytest.fixture()
@@ -22,6 +23,49 @@ def forcing(grid):
 @pytest.fixture()
 def spec(forcing):
     return ps.NoiseSpec(K=3, seed=777, dt=forcing.dt, nt=32)
+
+
+def _fresh_increments(spec, path):
+    """Reference draws: a new Philox generator keyed on (seed, path)."""
+    key = np.array([spec.seed, path], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.standard_normal((spec.K, spec.nt)) * np.sqrt(spec.dt)
+
+
+def _fresh_block(spec, M, base_path):
+    return np.stack([_fresh_increments(spec, base_path + m) for m in range(M)])
+
+
+def _full_grid_slices(prop, t_index):
+    """Reference convolved slices over every mode, shape (nt, K) + grid.shape;
+    slices at j >= t_index stay zero."""
+    conv_hat = np.zeros_like(prop.fhat)
+    factors = np.cumprod(prop.step[:t_index][::-1], axis=0)[::-1]
+    conv_hat[:t_index] = factors[:, None] * prop.fhat[:t_index]
+    return conv_hat
+
+
+def _full_grid_contract(prop, dw, t_index):
+    """Reference u_hat(t_i) of every path over every mode, in one contraction."""
+    return np.tensordot(dw, _full_grid_slices(prop, t_index), axes=([1, 2], [1, 0]))
+
+
+def _full_grid_advance(prop, dw):
+    """Reference recursion over every mode: yields u_hat(t_i), i = 1 .. nt - 1."""
+    u = np.zeros((dw.shape[0],) + prop.grid.shape, dtype=complex)
+    for i in range(1, prop.fhat.shape[0]):
+        forced = np.tensordot(dw[:, :, i - 1], prop.fhat[i - 1], axes=1)
+        u = prop.step[i - 1] * (u + forced)
+        yield u
+
+
+def _point_row(grid, x_index):
+    """The inverse transform's row of the grid point ``x_index``, grid shaped."""
+    k = np.arange(grid.n)
+    row = 1.0
+    for x in x_index:
+        row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % grid.n) / grid.n))
+    return grid.phase() * row / (grid.n * grid.h) ** grid.d
 
 
 def _single_mode(grid, nt, mode=4):
@@ -49,6 +93,35 @@ class TestNoise:
             [ps.sample_brownian_increments(spec, p).ravel()
              for p in range(200)])
         assert block.std() == pytest.approx(np.sqrt(spec.dt), rel=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_draws_match_a_fresh_philox_per_path(self, seed):
+        # interleaved paths of two specs whose tables end mid-buffer
+        wide = ps.NoiseSpec(K=3, seed=seed, dt=0.01, nt=32)
+        narrow = ps.NoiseSpec(K=1, seed=seed, dt=0.2, nt=9)
+        for path in (0, 5, 1, 2 ** 64 - 1, 5):
+            for spec in (wide, narrow):
+                np.testing.assert_array_equal(ps.sample_brownian_increments(spec, path),
+                                              _fresh_increments(spec, path))
+
+    def test_threads_draw_concurrently(self):
+        spec = ps.NoiseSpec(K=2, seed=3, dt=0.05, nt=17)
+        start = threading.Barrier(2)
+        drawn = {}
+
+        def draw(parity):
+            start.wait()
+            drawn[parity] = [ps.sample_brownian_increments(spec, 2 * i + parity)
+                             for i in range(300)]
+
+        workers = [threading.Thread(target=draw, args=(parity,)) for parity in (0, 1)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        for parity in (0, 1):
+            for i, got in enumerate(drawn[parity]):
+                np.testing.assert_array_equal(got, _fresh_increments(spec, 2 * i + parity))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -154,7 +227,7 @@ class TestSecondMoment:
         ens = ps.simulate_ensemble(heat, f, spec, M=64)
         x = (g.n // 2,) * d if x_index is None else x_index
         prop = ens.propagator
-        coeff = prop.to_space(spde._convolved_slices(prop, 9))[
+        coeff = prop.to_space(_full_grid_slices(prop, 9))[
             (slice(None), slice(None)) + x]
         exact = np.sum(np.abs(coeff) ** 2) * spec.dt
         sq = np.abs(ens.values[(slice(None),) + x]) ** 2
@@ -191,14 +264,15 @@ def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
 
 
 def _moment_by_contraction(sym, f, spec, M, p, eta, base_path):
-    """Reference route: every time step contracted from scratch by _contract."""
+    """Reference route: every time step contracted from scratch over the
+    whole grid."""
     g = f.grid
     prop = ps.Propagator(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
-    dw = spde._increment_block(spec, M, base_path)
+    dw = _fresh_block(spec, M, base_path)
     sums = np.zeros(M)
     for i in range(1, f.nt):
-        mag = np.abs(prop.to_space(riesz * spde._contract(prop, dw, i)))
+        mag = np.abs(prop.to_space(riesz * _full_grid_contract(prop, dw, i)))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
@@ -257,6 +331,14 @@ class TestHigherMoments:
             ps.moment_bound_check(heat, forcing, spec, M=8, p=2.0,
                                   derivative_order=-1.0)
 
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_fewer_than_two_paths_rejected(self, heat, forcing, spec, M):
+        with pytest.raises(ValueError, match="M must be at least 2"):
+            ps.simulate_ensemble(heat, forcing, spec, M=M)
+        with pytest.raises(ValueError, match="M must be at least 2"):
+            ps.moment_bound_check(heat, forcing, spec, M=M, p=4.0,
+                                  derivative_order=1.0)
+
 
 class TestGaussianity:
     def test_excess_kurtosis_is_small(self, heat, forcing, spec):
@@ -269,3 +351,107 @@ class TestGaussianity:
         ens = ps.simulate_ensemble(heat, f, spec, M=8)
         with pytest.raises(ps.DegenerateFieldError):
             ps.gaussianity_diagnostic(ens)
+
+
+def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
+    """The four public results by the full-grid references, from fresh draws.
+
+    Returns the ensemble values, path ``base_path`` at every time, the
+    moment check's (value, std_error) and the isometry check's (value,
+    std_error) at the default point, each formed as the public function
+    forms it but over every mode.
+    """
+    g = f.grid
+    prop = ps.Propagator(sym, f)
+    dw = _fresh_block(spec, M, base_path)
+    ens = prop.to_space(_full_grid_contract(prop, dw, f.nt - 1))
+    u_hat = np.zeros((f.nt, 1) + g.shape, dtype=complex)
+    u_hat[1:] = list(_full_grid_advance(prop, dw[:1]))
+    path = prop.to_space(u_hat)
+    riesz = ps.fractional_multiplier(g, eta)
+    sums = np.zeros(M)
+    for u in _full_grid_advance(prop, dw):
+        mag = np.abs(prop.to_space(riesz * u))
+        sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
+    norms = sums * g.h ** g.d * f.dt
+    norm_f = ps.lp_space_time_norm(f, p)
+    moment = [float(np.mean(norms)) / norm_f ** p,
+              float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p]
+    x = (g.n // 2,) * g.d
+    coeff = np.tensordot(_full_grid_slices(prop, f.nt - 1), _point_row(g, x), axes=g.d)
+    exact = float(np.sum(np.abs(coeff) ** 2) * spec.dt)
+    sq = np.abs(ens[(slice(None),) + x]) ** 2
+    iso = [abs(float(np.mean(sq)) - exact) / exact,
+           float(np.std(sq, ddof=1) / np.sqrt(M)) / exact]
+    return ens, path, moment, iso
+
+
+def _assert_support_matches_full_grid(sym, f, bit_for_bit=False):
+    """simulate_ensemble, stochastic_convolution, moment_bound_check and
+    ito_isometry_check against the full-grid references: rtol 1e-12 and
+    atol 1e-12 of the largest reference value, or equal bits.  The single
+    path runs on the whole grid, so it always matches bit for bit."""
+    M, p, eta, base_path = 5, 4.0, 1.0, 3
+    spec = ps.NoiseSpec(K=f.k_h, seed=11, dt=f.dt, nt=f.nt)
+    ens = ps.simulate_ensemble(sym, f, spec, M, base_path=base_path)
+    est = ps.moment_bound_check(sym, f, spec, M, p, eta, base_path=base_path)
+    iso = ps.ito_isometry_check(ens)
+    got = [ens.values, ps.stochastic_convolution(sym, f, spec, base_path).values,
+           [est.value, est.std_error], [iso.value, iso.std_error]]
+    want = _full_grid_checks(sym, f, spec, M, p, eta, base_path)
+    for name, a, b in zip(["ensemble", "path", "moment", "isometry"], got, want):
+        if bit_for_bit or name == "path":
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
+                                       err_msg=name)
+
+
+class TestSupportColumns:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_corpus_matches_the_full_grid(self, d, family, entry):
+        sym = two_piece_families(d)[family]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(grid, 12, entry, t_window=0.77)
+        assert ps.Propagator(sym, f).support.size == (8 if d == 1 else 80)
+        _assert_support_matches_full_grid(sym, f)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_an_out_of_band_mode_is_carried(self, d):
+        sym = two_piece_families(d)[0]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(grid, 12, 1, t_window=0.77)
+        mode = 7 if d == 1 else np.ravel_multi_index((6, 10), grid.shape)
+        g = with_out_of_band_mode(f, mode)
+        assert mode in ps.Propagator(sym, g).support
+        _assert_support_matches_full_grid(sym, g)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_full_support_is_the_full_grid_bit_for_bit(self, d):
+        sym = two_piece_families(d)[2]
+        grid = ps.SpaceGrid(d=d, n=16 if d == 1 else 8, L=12.0)
+        rng = np.random.default_rng(d)
+        shape = (10, 2) + grid.shape
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.07,
+                              values=rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+        assert ps.Propagator(sym, f).support.size == grid.n ** d
+        _assert_support_matches_full_grid(sym, f, bit_for_bit=True)
+
+    def test_zero_field_gives_zero_paths(self, heat):
+        grid = ps.SpaceGrid(d=1, n=16, L=12.0)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.1,
+                              values=np.zeros((6, 2, 16), complex))
+        spec = ps.NoiseSpec(K=2, seed=4, dt=0.1, nt=6)
+        assert ps.Propagator(heat, f).support.size == 0
+        ens = ps.simulate_ensemble(heat, f, spec, M=3)
+        assert ens.values.shape == (3, 16) and np.all(ens.values == 0.0)
+        u = ps.stochastic_convolution(heat, f, spec, path=0).values
+        assert u.shape == (6, 1, 16) and np.all(u == 0.0)
+        est = ps.moment_bound_check(heat, f, spec, M=3, p=4.0, derivative_order=1.0)
+        assert (est.value, est.std_error, est.majorant) == (0.0, 0.0, 0.0)
+        with pytest.raises(ps.DegenerateFieldError):
+            ps.ito_isometry_check(ens)

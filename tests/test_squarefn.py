@@ -6,7 +6,7 @@ import pytest
 import paleyscope as ps
 from paleyscope import squarefn
 
-from conftest import exp_decay
+from conftest import exp_decay, two_piece_families, with_out_of_band_mode
 
 
 @pytest.fixture()
@@ -98,23 +98,6 @@ class TestSquareFunction:
             ps.square_function(heat, -0.5, f)
 
 
-def _two_piece_families(d):
-    """Fractional, polyform and Levy symbols whose coefficients jump at t = 0.5."""
-    if d == 1:
-        poly = {((2,), (2,)): ([0.0, 0.5], [1.0, 2.0 + 0.3j])}
-        levy = ([0.0, 0.5], [[1.0, 1.0], [0.5, 1.5]])
-    else:
-        poly = {((1, 0), (1, 0)): ([0.0, 0.5], [1.0, 1.5]),
-                ((0, 1), (0, 1)): ([0.0, 0.5], [1.0, 0.8 + 0.2j])}
-        levy = ([0.0, 0.5], [np.ones(16), 1.0 + 0.5 * np.cos(
-            2 * np.pi * np.arange(16) / 16)])
-    return [
-        ps.FractionalSymbol(gamma=1.5, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5),
-        ps.PolyFormSymbol(m=2 if d == 1 else 1, coeffs=poly, nu=0.5),
-        ps.LevySymbol(k=0, gamma=0.5, d=d, density=levy, nodes=16),
-    ]
-
-
 def _square_function_reference(sym, eta, f):
     """G f by the direct per-time loop: every exp(I[i] - I[j]) formed anew,
     every (i, j) pair transformed on its own multiplier."""
@@ -139,7 +122,7 @@ class TestCarriedRecursion:
     @pytest.mark.parametrize("eta_scale", [0.0, 0.5])
     def test_matches_the_direct_loop(self, d, family, eta_scale):
         # the step 0.07 puts the symbols' breakpoint 0.5 inside a step
-        sym = _two_piece_families(d)[family]
+        sym = two_piece_families(d)[family]
         grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         rng = np.random.default_rng(5 + d)
         shape = (13, 3) + grid.shape
@@ -193,7 +176,7 @@ class TestSupportRoute:
                              ids=["fractional", "polyform", "levy"])
     @pytest.mark.parametrize("entry", [0, 1])
     def test_corpus_matches_the_direct_loop(self, d, family, entry):
-        sym = _two_piece_families(d)[family]
+        sym = two_piece_families(d)[family]
         grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         f = ps.corpus_entry(grid, 12, entry, t_window=0.77)
         prop = ps.Propagator(sym, f)
@@ -202,14 +185,11 @@ class TestSupportRoute:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_an_out_of_band_mode_enters_the_support(self, d):
-        sym = _two_piece_families(d)[0]
+        sym = two_piece_families(d)[0]
         grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         f = ps.corpus_entry(grid, 12, 1, t_window=0.77)
-        fhat = ps.to_frequency(f).values.reshape(12, 3, -1)
         mode = 7 if d == 1 else np.ravel_multi_index((6, 10), grid.shape)
-        fhat[1:-1, 1, mode] = 1e-3 * np.abs(fhat).max()
-        g = ps.to_space(ps.SpaceTimeField(grid=grid, t0=f.t0, dt=f.dt, domain="freq",
-                                          values=fhat.reshape(f.values.shape)))
+        g = with_out_of_band_mode(f, mode)
         support = ps.Propagator(sym, g).support
         assert mode in support
         assert support.size == ps.Propagator(sym, f).support.size + 1
@@ -223,7 +203,7 @@ class TestSupportRoute:
         assert np.all(ps.square_function(heat, 1.0, f).values == 0.0)
 
     def test_full_support_takes_the_fft_loop(self, route_log):
-        sym = _two_piece_families(1)[1]
+        sym = two_piece_families(1)[1]
         grid = ps.SpaceGrid(d=1, n=32, L=12.0)
         f = _on_modes(grid, 12, np.arange(32))
         assert ps.Propagator(sym, f).support.size == 32
@@ -239,7 +219,7 @@ class TestSupportRoute:
     ])
     def test_the_crossover_is_m_squared_at_nt_n_to_the_d(self, route_log, d, m, route):
         # nt n^d is 256 at d = 1 (n = 32, nt = 8) and 1024 at d = 2 (n = 16, nt = 4)
-        sym = _two_piece_families(d)[2]
+        sym = two_piece_families(d)[2]
         n, nt = (32, 8) if d == 1 else (16, 4)
         grid = ps.SpaceGrid(d=d, n=n, L=12.0)
         modes = np.random.default_rng(m).choice(n ** d, m, replace=False)
@@ -257,7 +237,7 @@ class TestParsevalNorm:
     @pytest.mark.parametrize("eta_scale", [0.0, 0.5])
     def test_matches_the_square_function_route(self, d, family, eta_scale):
         # the step 0.07 puts the symbols' breakpoint 0.5 inside a step
-        sym = _two_piece_families(d)[family]
+        sym = two_piece_families(d)[family]
         grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         rng = np.random.default_rng(11 + d)
         shape = (13, 2) + grid.shape
