@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral import Field, fractional_multiplier, to_space
-from .symbols import _piece_index
+from .symbols import _decay_integral, _piece_index
 
 __all__ = [
     "as_fraction",
@@ -378,14 +378,11 @@ def assumption1_profile(sym, eta, xi_samples, s=0.0):
     c = -2.0 * pieces[first:].real                      # decay rates, (K, samples)
     lengths = np.diff(np.concatenate([[s], breaks[first + 1:]]))[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # with x_k = c_k l_k and A_k = -(x_0 + ... + x_{k-1}), a finite
-        # piece adds exp(A_k) l_k (1 - exp(-x_k)) / x_k, where the fraction
-        # is 1 once x_k rounds to 0; the last piece adds exp(A_K) / c_K
+        # the finite pieces are the closed sum of _decay_integral with
+        # x_k = c_k l_k; the last piece adds exp(-(x_0 + ... )) / c_K
         x = c[:-1] * lengths
-        finite = lengths * np.where(x == 0, 1.0, -np.expm1(-x) / x)
         last = np.where(c[-1] > 0, 1.0 / c[-1], np.inf)
-        A = np.concatenate([np.zeros((1, c.shape[1])), -np.cumsum(x, axis=0)])
-        total = np.sum(np.exp(A[:-1]) * finite, axis=0) + np.exp(A[-1]) * last
+        total = _decay_integral(x, lengths) + np.exp(-np.sum(x, axis=0)) * last
         out = r ** (2 * eta) * total
     out[r == 0] = 0.0 if eta > 0 else math.inf
     return out

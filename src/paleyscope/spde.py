@@ -4,25 +4,27 @@ The mild solution with zero initial data is the stochastic convolution
 
     u(t, x) = sum_k int_0^t (p(t, s, .) * f^k(s, .))(x) dw^k_s,
 
-discretized with the left-point rule, which is exact in distribution for
-deterministic integrands sampled at grid times.  Increments come from a
-counter-based generator keyed on (seed, path), so every path is reproducible
-in isolation and ensembles parallelize without shared state.  Each thread
-re-keys one ``Philox`` generator per path rather than constructing one.
+discretized by holding f^k at f^k(s_j) on each cell [s_j, s_{j+1}): the
+cell adds a Gaussian of variance W_j (the propagator's ``weight``) per mode,
+drawn as sqrt(W_j / dt) dW^k_j, so E|D^eta u(t_i, x)|^2 is G f(t_i, x)^2 of
+:func:`~paleyscope.squarefn.square_function` at every grid point.
+Increments come from a counter-based generator keyed on (seed, path), so
+every path is reproducible in isolation and ensembles parallelize without
+shared state.  Each thread re-keys one ``Philox`` generator per path rather
+than constructing one.
 
 All convolutions happen on the frequency side through the
 :class:`~paleyscope.spectral.Propagator` of the forcing: with I[j] the
 cumulative symbol integrals, the solution mode amplitudes are
 
-    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j]) fhat^k(s_j) dW^k_j.
+    u_hat(t_i) = sum_k sum_{j < i} exp(I[i] - I[j+1]) sqrt(W_j / dt) fhat^k(s_j) dW^k_j.
 
 Every factor comes from the step factors e_i = exp(I[i] - I[i-1]).  At the
 one time an ensemble reads, the sum is one contraction of the whole block of
-paths against their backward cumulative products e_{j+1} ... e_i.  When
-every time is needed, the same sum is carried forward by the
-exponential-integrator recursion
+paths against their backward cumulative products e_{j+2} ... e_i.  When
+every time is needed, the same sum is carried forward by the recursion
 
-    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k fhat^k(s_{i-1}) dW^k_{i-1}).
+    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k sqrt(W_{i-1} / dt) fhat^k(s_{i-1}) dW^k_{i-1}.
 
 The ensemble routes run on the m columns of the forcing's spectral
 support (``Propagator.on_support``), since u_hat vanishes wherever every
@@ -149,46 +151,37 @@ def _check_compatible(f, spec):
 
 
 def _convolved_slices(prop, t_index):
-    """Convolved slices (p(t*, s_j) * f^k(s_j)) for j < t* on the support.
+    """Convolved slices (p(t*, s_{j+1}) * sqrt(W_j / dt) f^k(s_j)) for j < t*
+    on the support.
 
     Shape ``(nt, K, m)`` over the m columns of ``prop.on_support``; slices
-    at j >= t_index stay zero.  The factors exp(I[i] - I[j]) =
-    e_{j+1} ... e_i are the backward cumulative products of the step
+    at j >= t_index stay zero.  The factors exp(I[i] - I[j+1]) =
+    e_{j+2} ... e_i are the backward cumulative products of the step
     factors, each of modulus at most 1, so elliptic decay cannot overflow.
     """
-    _, fhat, step = prop.on_support
+    _, fhat, step, _ = prop.on_support
     conv = np.zeros_like(fhat)
-    factors = np.cumprod(step[:t_index][::-1], axis=0)[::-1]
-    conv[:t_index] = factors[:, None] * fhat[:t_index]
+    conv[:t_index] = prop.held(1 / np.sqrt(prop.dt), on_support=True)[:t_index]
+    conv[:t_index - 1] *= np.cumprod(step[t_index - 1:0:-1], axis=0)[::-1, None]
     return conv
-
-
-def _contract(prop, dw, t_index):
-    """u_hat(t_i)[m] = sum_{k, j < i} dW[m, k, j] exp(I[i] - I[j]) fhat[j, k].
-
-    The sum at one time on the support columns, formed directly
-    (:func:`_advance` carries it over all times).  The whole ``(M, K, nt)``
-    block is contracted against the zero-padded slices, so no slice of the
-    block is copied.  Returns shape ``(M, m)``.
-    """
-    return np.tensordot(dw, _convolved_slices(prop, t_index), axes=([1, 2], [1, 0]))
 
 
 def _advance(prop, dw, on_grid=False):
     """Yield u_hat(t_i) for i = 1 .. nt - 1 of every path in the block ``dw``.
 
-    u_hat(t_i) = e_i (u_hat(t_{i-1}) + sum_k dW[:, k, i-1] fhat[i-1, k]) from
-    u_hat(t_0) = 0 on the m support columns of ``prop.on_support``, shape
-    ``(M, m)``, or with ``on_grid`` on every mode, shape ``(M,) +
-    grid.shape``.  This is the sum :func:`_contract` forms, carried one
-    step at a time, so each step costs O(M * K) per mode whatever nt is.
-    The yielded array is replaced, not modified, by the next step.
+    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k dW[:, k, i-1] sqrt(W_{i-1} / dt)
+    fhat[i-1, k] from u_hat(t_0) = 0 on the m support columns of
+    ``prop.on_support``, shape ``(M, m)``, or with ``on_grid`` on every
+    mode, shape ``(M,) + grid.shape``.  This is the sum
+    :func:`simulate_ensemble` contracts at one time, carried one step at a
+    time, so each step costs O(M * K) per mode whatever nt is.  The yielded
+    array is replaced, not modified, by the next step.
     """
-    fhat, step = (prop.fhat, prop.step) if on_grid else prop.on_support[1:]
+    step = prop.step if on_grid else prop.on_support[2]
+    drive = prop.held(1 / np.sqrt(prop.dt), on_support=not on_grid)
     u = np.zeros(dw.shape[:1] + step.shape[1:], dtype=complex)
-    for i in range(1, fhat.shape[0]):
-        forced = np.tensordot(dw[:, :, i - 1], fhat[i - 1], axes=1)
-        u = step[i - 1] * (u + forced)
+    for j, row in enumerate(drive):
+        u = step[j] * u + np.tensordot(dw[:, :, j], row, axes=1)
         yield u
 
 
@@ -214,7 +207,9 @@ def simulate_ensemble(sym, f, spec, M, base_path=0):
     _check_compatible(f, spec)
     prop = Propagator(sym, f)
     dw = _increment_block(spec, M, base_path)
-    values = prop.to_space(prop.to_grid(_contract(prop, dw, f.nt - 1)))
+    # the whole (M, K, nt) block against the zero-padded slices, uncopied
+    values = prop.to_space(prop.to_grid(
+        np.tensordot(dw, _convolved_slices(prop, f.nt - 1), axes=([1, 2], [1, 0]))))
     return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
                         values=values, propagator=prop)
 
@@ -244,9 +239,11 @@ def ito_isometry_check(ensemble, x_index=None):
 
     Reads the samples of ``ensemble`` at point ``x_index``, and the exact
     moment from the propagator it was simulated with.  E|u|^2 there equals
-    sum_{k, j < i*} |c_kj|^2 dt exactly for the left-point scheme, so the
-    value is a pure MC convergence measurement: |mean - exact| / exact, with
-    the standard error of the mean (also relative to exact) alongside.
+    sum_{k, j < i*} |c_kj|^2 dt exactly, with c_kj the convolved slices at
+    the point, and that sum is G f(t_i*, x)^2 of
+    :func:`~paleyscope.squarefn.square_function` at eta = 0.  So the value
+    is a pure MC convergence measurement: |mean - exact| / exact, with the
+    standard error of the mean (also relative to exact) alongside.
     """
     x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
     prop = ensemble.propagator

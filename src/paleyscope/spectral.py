@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .symbols import _decay_integral, _piece_overlaps
+
 __all__ = [
     "SpaceGrid",
     "Field",
@@ -249,19 +251,34 @@ def _step_factors(integrals):
     return np.exp(np.diff(integrals, axis=0))
 
 
+def _cell_weights(sym, times, xi):
+    """W_j = int_{t_j}^{t_{j+1}} |exp(int_s^{t_{j+1}} psi)|^2 ds, shape
+    ``(nt - 1,) + batch``: the closed sum over the pieces that overlap the
+    cell, read backwards from t_{j+1}, each of decay rate -2 Re psi."""
+    breaks, vals = sym.piecewise_values(xi)
+    lengths = _piece_overlaps(breaks, times[:-1], times[1:])[::-1]
+    lengths = lengths.reshape(lengths.shape + (1,) * (vals.ndim - 1))
+    return _decay_integral(-2.0 * lengths * vals.real[::-1, None], lengths)
+
+
 class Propagator:
     """The evolution of ``sym`` applied to the slices of a space-time field.
 
     Holds the transformed slices ``fhat``, shape ``(nt, K_H) + grid.shape``,
     and the cumulative symbol integrals ``integrals`` (I) on the field's time
-    grid: slice j reaches time t_i through the multiplier exp(I[i] - I[j]),
-    which every route forms from the step factors ``step`` alone.
+    grid.  Slice j is held on the cell [t_j, t_{j+1}): it enters at t_{j+1}
+    with the cell's squared-kernel integral ``weight`` W_j per mode and
+    reaches t_i through exp(I[i] - I[j+1]), which every route forms from
+    the step factors ``step`` alone.
     """
 
     def __init__(self, sym, f):
         self.grid = f.grid
         self.fhat = to_frequency(f).values
         self.integrals = cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
+        self.dt = f.dt
+        self._sym = sym
+        self._times = f.times()
 
     @cached_property
     def step(self):
@@ -273,6 +290,12 @@ class Propagator:
         rounding.
         """
         return _step_factors(self.integrals)
+
+    @cached_property
+    def weight(self):
+        """Cell weights W_j, j = 0 .. nt - 2, shape ``(nt - 1,) + grid.shape``,
+        formed on first use.  Re psi <= 0 gives dt |e_{j+1}|^2 <= W_j <= dt."""
+        return _cell_weights(self._sym, self._times, self.grid.xi_grid())
 
     @cached_property
     def support(self):
@@ -290,19 +313,31 @@ class Propagator:
 
     @cached_property
     def on_support(self):
-        """``(support, columns(fhat), step on the support columns)``.
+        """``(support, columns(fhat), step and weight on the support columns)``.
 
-        The slices have shape ``(nt, K_H, m)`` and the step factors
-        ``(nt - 1, m)`` for the m modes of :attr:`support`; the factors are
-        exponentiated on those columns only, which gives the bits of
-        :attr:`step` restricted afterwards.  When the support is the whole
-        grid, both are reshaped views of ``fhat`` and ``step``.
+        The slices have shape ``(nt, K_H, m)``, the step factors and the
+        weights ``(nt - 1, m)`` for the m modes of :attr:`support`; both are
+        formed on those columns only, which gives the bits of :attr:`step`
+        and :attr:`weight` restricted afterwards.  When the support is the
+        whole grid, all three are reshaped views of the grid arrays.
         """
-        if self.support.size == self.grid.n ** self.grid.d:
-            step = self.columns(self.step)
+        g = self.grid
+        if self.support.size == g.n ** g.d:
+            step, weight = self.columns(self.step), self.columns(self.weight)
         else:
             step = _step_factors(self.columns(self.integrals))
-        return self.support, self.columns(self.fhat), step
+            xi = g.xi_grid().reshape(-1, g.d)[self.support]
+            weight = _cell_weights(self._sym, self._times, xi)
+        return self.support, self.columns(self.fhat), step, weight
+
+    def held(self, scale, on_support=False):
+        """sqrt(W_j) scale fhat_j, j = 0 .. nt - 2, as slice j enters at t_{j+1}:
+        on the grid or, with ``on_support``, on the support columns."""
+        if on_support:
+            _, fhat, _, weight = self.on_support
+        else:
+            fhat, weight = self.fhat, self.weight
+        return np.sqrt(weight)[:, None] * fhat[:-1] * scale
 
     def columns(self, values):
         """``values`` on the :attr:`support` modes: the last d (grid) axes

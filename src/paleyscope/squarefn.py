@@ -6,13 +6,12 @@ square function at grid time t_i is
     G f(t_i, x)^2 = sum_channels int_{t_0}^{t_i} |K(t_i, s, .) * f(s, .)(x)|^2 ds,
 
 with K the kernel whose multiplier is |xi|^eta exp(int_s^{t_i} psi).  The s
-integral uses the trapezoid rule including the s = t_i endpoint, where the
-integrand is the band-limited fractional derivative of f(t_i) and therefore
-finite on the grid.  When f lives on m modes with m^2 <= nt n^d, G is
-carried as an m x m covariance on those modes and inverse-transformed once;
-otherwise every carried row is inverse-transformed at every step.  The
-empirical ratio ||G f||_p / || |f|_H ||_p is the quantity the L_p theory
-bounds uniformly in f.
+integral holds f at f(t_j) on each cell [t_j, t_{j+1}) and integrates the
+kernel over the cell exactly per mode, so G(t_i) reads the slices j < i.
+When f lives on m modes with m^2 <= nt n^d, G is carried as an m x m
+covariance on those modes and inverse-transformed once; otherwise every
+carried row is inverse-transformed at every step.  The empirical ratio
+||G f||_p / || |f|_H ||_p is the quantity the L_p theory bounds uniformly in f.
 """
 
 from __future__ import annotations
@@ -103,25 +102,24 @@ def square_function(sym, eta, f):
 
     Notes
     -----
-    The s integral is the trapezoid rule with weights dt * [1/2, 1, ..., 1,
-    1/2]; the i = 0 value is 0 (empty integration range).  All work happens
-    on the frequency side through a :class:`~paleyscope.spectral.Propagator`
-    with transformed slices fhat and step factors e_i = exp(I[i] - I[i-1]).
-    One amplitude block
+    The s integral holds f at f(t_j) on the cell [t_j, t_{j+1}), so
+    G(t_0) = 0 and G(t_i) reads the slices j < i.  All work happens on the
+    frequency side through a :class:`~paleyscope.spectral.Propagator` with
+    transformed slices fhat, step factors e_i = exp(I[i] - I[i-1]) and cell
+    weights W_j.  Row j of the amplitude block (``Propagator.held``)
 
-        a_j = sqrt(w'_j) |xi|^eta phase h^-d fhat_j,
+        a_j = sqrt(W_j) |xi|^eta phase h^-d fhat_j
 
-    with w'_j = dt/2 at j = 0 and dt otherwise, carries the weight, the
-    Riesz multiplier and the inverse transform's phase and scale (the
-    propagator's ``inverse_factor``).  Two routes sum the same squares:
+    enters at t_{j+1} and is advanced by e_i from then on; it carries the
+    inverse transform's phase and scale (``inverse_factor``).  Two routes
+    sum the same squares:
 
     - On the propagator's ``support`` of m modes, the m x m covariance
-      P_i = (e_i e_i^*) o (P_{i-1} + A_{i-1}), A_j = sum_k a_jk a_jk^*,
-      plus A_i / 2 for the endpoint, is scattered onto difference
-      frequencies and inverse-transformed once for all times:
-      O(nt K m^2 + nt n^d log n).
-    - The carried FFT loop advances the rows j < i in place by e_i and
-      inverse-transforms rows 0 .. i at every step: O(nt^2 K n^d log n).
+      P_i = (e_i e_i^*) o P_{i-1} + A_{i-1}, A_j = sum_k a_jk a_jk^*, is
+      scattered onto difference frequencies and inverse-transformed once
+      for all times: O(nt K m^2 + nt n^d log n).
+    - The carried FFT loop advances the rows j < i - 1 in place by e_i and
+      inverse-transforms rows 0 .. i - 1 at every step: O(nt^2 K n^d log n).
 
     The support route runs when m^2 <= nt n^d.  Both are causal bit for bit
     for a fixed support; they agree to about 1e-14 relative.
@@ -132,22 +130,10 @@ def square_function(sym, eta, f):
     prop = Propagator(sym, f)
     m = prop.support.size
     route = _support_route if m * m <= f.nt * g.n ** g.d else _fft_route
-    return SquareField(grid=g, t0=f.t0, dt=f.dt, values=route(prop, eta, f.dt))
+    return SquareField(grid=g, t0=f.t0, dt=f.dt, values=route(prop, eta))
 
 
-def _amplitudes(prop, eta, dt, on_support=False):
-    """The amplitude block a_j of :func:`square_function`, over the whole
-    grid or, with ``on_support``, on the support columns of ``prop``."""
-    factor = fractional_multiplier(prop.grid, eta) * prop.inverse_factor(np.sqrt(dt))
-    if on_support:
-        amp = prop.on_support[1] * prop.columns(factor)
-    else:
-        amp = prop.fhat * factor
-    amp[0] *= np.sqrt(0.5)
-    return amp
-
-
-def _support_route(prop, eta, dt):
+def _support_route(prop, eta):
     """G f values by the covariance recursion on ``prop.support``.
 
     Since ifft(v)(x) = n^-d sum_xi v(xi) exp(2 pi i xi . x / n),
@@ -155,14 +141,16 @@ def _support_route(prop, eta, dt):
         sum_rows |ifft(row)(x)|^2 = n^-d ifft(D)(x),
 
     with D(delta) the sum of the carried covariance over the pairs (a, b) of
-    support modes with a - b = delta (mod n per axis).  The scatter is a
-    fixed-order ``bincount``, so the bytes do not depend on thread counts.
+    support modes with a - b = delta (mod n per axis).  The channel sum is
+    an ``einsum`` and the scatter a fixed-order ``bincount``, neither of
+    which threads, so the bytes do not depend on thread counts.
     """
     g = prop.grid
     size = g.n ** g.d
     nt = prop.fhat.shape[0]
-    keep, _, e = prop.on_support
-    a = _amplitudes(prop, eta, dt, on_support=True)
+    keep, _, e, _ = prop.on_support
+    factor = fractional_multiplier(g, eta) * prop.inverse_factor()
+    a = prop.held(prop.columns(factor), on_support=True)
     # difference frequency of each pair, one index per real and imaginary part
     modes = np.unravel_index(keep, g.shape)
     delta = np.ravel_multi_index([(ax[:, None] - ax[None, :]) % g.n for ax in modes],
@@ -170,80 +158,54 @@ def _support_route(prop, eta, dt):
     slots = (2 * delta[..., None] + np.arange(2)).ravel()
     scattered = np.zeros((nt, 2 * size))
     carried = np.zeros((keep.size,) * 2, dtype=complex)
-    cov = _gram(a[0])
     for i in range(1, nt):
-        carried += cov
         carried *= np.multiply.outer(e[i - 1], e[i - 1].conj())
-        cov = _gram(a[i])
-        scattered[i] = np.bincount(slots, weights=(carried + 0.5 * cov).view(float).ravel(),
+        carried += np.einsum("ka,kb->ab", a[i - 1], a[i - 1].conj())
+        scattered[i] = np.bincount(slots, weights=carried.view(float).ravel(),
                                    minlength=2 * size)
     sq = prop.ifft(scattered.view(complex).reshape((nt,) + g.shape)).real / size
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def _gram(rows):
-    """sum_k rows[k] rows[k]^*, one channel at a time in a fixed order."""
-    out = np.multiply.outer(rows[0], rows[0].conj())
-    for row in rows[1:]:
-        out += np.multiply.outer(row, row.conj())
-    return out
-
-
-def _fft_route(prop, eta, dt):
+def _fft_route(prop, eta):
     """G f values by the carried FFT loop, one inverse transform per step."""
     nt = prop.fhat.shape[0]
-    amp = _amplitudes(prop, eta, dt)
+    amp = prop.held(fractional_multiplier(prop.grid, eta) * prop.inverse_factor())
     out = np.zeros((nt,) + prop.grid.shape)
     for i in range(1, nt):
-        amp[:i] *= prop.step[i - 1]
-        out[i] = np.sqrt(_carried_squares(prop.ifft(amp[: i + 1])))
+        amp[:i - 1] *= prop.step[i - 1]
+        space = prop.ifft(amp[:i])
+        out[i] = np.sqrt(np.sum(space.real ** 2 + space.imag ** 2, axis=(0, 1)))
     return out
-
-
-def _carried_squares(space):
-    """sum_{j, channel} |space|^2 over every row but the last, plus half the last.
-
-    ``space`` has shape ``(rows, K_H) + grid.shape``; the result has the
-    grid shape.  The transform dies on return, before the next step's.
-    """
-    rows, k_h = space.shape[:2]
-    # real and imaginary parts side by side, one row per (j, channel)
-    parts = space.view(float).reshape(rows * k_h, -1)
-    carried, end = parts[: (rows - 1) * k_h], parts[(rows - 1) * k_h:]
-    sq = (np.einsum("jx,jx->x", carried, carried)
-          + 0.5 * np.einsum("jx,jx->x", end, end))
-    return sq.reshape(space.shape[2:] + (2,)).sum(axis=-1)
 
 
 def square_function_l2(sym, eta, f):
-    """||G f||_2 on the grid of ``f`` without forming G, in O(nt * K * n^d).
+    """||G f||_2 on the grid of ``f`` without forming G, in O(nt * K * m).
 
     By Parseval, h^d sum_x |g|^2 = L^-d sum_xi |ghat|^2 per slice, so with
-    q_j = sum_k |fhat_jk|^2 and the weights of :func:`square_function`
+    q_j = sum_k |fhat_jk|^2 and the cell weights W_j of :func:`square_function`
 
-        ||G f||_2^2 = dt / L^d sum_{i >= 1} sum_xi |xi|^(2 eta) (B_i + dt q_i / 2),
-        B_i = sum_{j < i} w'_j |exp(I[i] - I[j])|^2 q_j,
+        ||G f||_2^2 = dt / L^d sum_{i >= 1} sum_xi |xi|^(2 eta) B_i,
+        B_i = sum_{j < i} |exp(I[i] - I[j+1])|^2 W_j q_j.
 
-    where w'_j is dt/2 at j = 0 and dt otherwise.  B obeys the one-step
-    recursion B_i = |e_i|^2 (B_{i-1} + w'_{i-1} q_{i-1}) through the
-    propagator's step factors, so this is the trapezoid rule of
-    ``lp_space_time_norm(square_function(sym, eta, f), 2)`` rearranged, equal
-    to it up to rounding.
+    B obeys B_i = |e_i|^2 B_{i-1} + W_{i-1} q_{i-1} on the m modes of the
+    propagator's ``support``, so this is the space-time 2-norm of
+    :func:`square_function` rearranged, equal to it up to rounding.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     g = f.grid
-    dt = f.dt
     prop = Propagator(sym, f)
-    q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
-    gain = np.abs(prop.step) ** 2
-    B = np.zeros(g.shape)
-    total = np.zeros(g.shape)
+    _, fhat, step, weight = prop.on_support
+    q = np.sum(np.abs(fhat) ** 2, axis=1)
+    gain = np.abs(step) ** 2
+    B = np.zeros(q.shape[1:])
+    total = np.zeros(q.shape[1:])
     for i in range(1, f.nt):
-        B = gain[i - 1] * (B + (0.5 * dt if i == 1 else dt) * q[i - 1])
-        total += B + 0.5 * dt * q[i]
-    riesz = fractional_multiplier(g, eta)
-    return float(np.sqrt(dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
+        B = gain[i - 1] * B + weight[i - 1] * q[i - 1]
+        total += B
+    riesz = prop.columns(fractional_multiplier(g, eta))
+    return float(np.sqrt(f.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
 
 
 def _lp_nd(values, h_d, dt, p):

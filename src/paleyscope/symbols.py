@@ -82,6 +82,15 @@ def _piece_overlaps(breaks, s, t):
     return np.clip(w, 0.0, None).reshape(shape)
 
 
+def _decay_integral(x, lengths):
+    """int exp(-int_0^u c) du over consecutive pieces (first axis) of lengths
+    l_p and constant rates c_p = x_p / l_p: the sum of
+    exp(-(x_0 + ... + x_{p-1})) l_p phi(x_p), phi(x) = -expm1(-x) / x, phi(0) = 1."""
+    phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0)
+    before = np.concatenate([np.zeros_like(x[:1]), np.cumsum(x[:-1], axis=0)])
+    return np.sum(np.exp(-before) * (lengths * phi), axis=0)
+
+
 def _check_xi(xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0:

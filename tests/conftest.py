@@ -39,6 +39,27 @@ def quad_profile(sym, eta, xi, s):
     return sum(piece(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])) + tail
 
 
+def cell_weights(sym, times, grid):
+    """W_j = int_{t_j}^{t_{j+1}} |exp(int_s^{t_{j+1}} psi)|^2 ds on the grid's
+    modes, shape ``(nt - 1,) + grid.shape``.
+
+    Each cell is split at the symbol's breakpoints; on a sub-cell [a, b] the
+    rate c = -2 Re psi is constant, so it adds
+    exp(2 Re int_b^{t_{j+1}} psi) (1 - exp(-c (b - a))) / c, or b - a where
+    c = 0.
+    """
+    xi = grid.xi_grid()
+    out = np.zeros((len(times) - 1,) + grid.shape)
+    for j, (s, t) in enumerate(zip(times[:-1], times[1:])):
+        cuts = [s, *(float(b) for b in sym.breakpoints if s < b < t), t]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            rate = -2.0 * sym.eval(0.5 * (a + b), xi).real
+            with np.errstate(invalid="ignore"):
+                part = np.where(rate == 0, b - a, -np.expm1(-rate * (b - a)) / rate)
+            out[j] += np.exp(2.0 * sym.time_integral(b, t, xi).real) * part
+    return out
+
+
 def exp_decay(prop, i, stop):
     """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``: every
     kernel factor exponentiated from the propagator's cumulative integrals,

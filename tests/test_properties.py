@@ -1,10 +1,11 @@
-"""Properties of the step factor e_i = exp(I[i] - I[i-1]), of the square
-function built on it and of the piece-table time integrals, over all three
-families."""
+"""Properties of the step factor e_i = exp(I[i] - I[i-1]), of the cell
+weights W_j, of the square function built on them and of the piece-table
+time integrals, over all three families."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import paleyscope as ps
 from paleyscope import spde
@@ -112,16 +113,52 @@ def test_recursion_is_causal(case, data):
 @settings(max_examples=40, deadline=None)
 @given(case=propagators(), data=st.data())
 def test_square_function_is_causal(case, data):
-    # G(t_i) reads slices j <= i only, bit for bit
+    # G(t_i) reads slices j < i only, bit for bit: slice j is held on
+    # [t_j, t_{j+1}) and first reaches t_{j+1}
     sym, f, _ = case
-    i = data.draw(st.integers(0, f.nt - 2))
+    i = data.draw(st.integers(0, f.nt - 3))
     tampered = f.values.copy()
     tampered[i + 1:] += 7.7 + np.arange(f.grid.n) * 0.1j
     g = ps.square_function(sym, 0.0, f).values
     g2 = ps.square_function(sym, 0.0, ps.SpaceTimeField(
         grid=f.grid, t0=f.t0, dt=f.dt, values=tampered)).values
-    np.testing.assert_array_equal(g[: i + 1], g2[: i + 1])
-    assert not np.array_equal(g[i + 1], g2[i + 1])
+    np.testing.assert_array_equal(g[: i + 2], g2[: i + 2])
+    assert not np.array_equal(g[i + 2], g2[i + 2])
+
+
+def _quad_cell_weight(sym, s, t, xi):
+    """int_s^t exp(2 Re int_r^t psi) dr for one frequency vector, by adaptive
+    quadrature on each sub-cell between the symbol's breakpoints."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+
+    def integrand(r):
+        return np.exp(2.0 * sym.time_integral(r, t, xi).real)
+
+    cuts = [s, *(float(b) for b in sym.breakpoints if s < b < t), t]
+    return sum(quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sym=symbols(), data=st.data(), dt=st.floats(0.01, 0.3),
+       theta=st.floats(0.05, 0.95), cell=st.integers(0, 2), nt=st.integers(4, 6))
+def test_cell_weights_bracket_and_match_quadrature(sym, data, dt, theta, cell, nt):
+    # a breakpoint of the symbol sits at fraction theta inside cell ``cell``
+    b = data.draw(st.sampled_from(list(sym.breakpoints)))
+    grid = ps.SpaceGrid(d=1, n=8, L=data.draw(st.floats(5.0, 40.0)))
+    f = ps.SpaceTimeField(grid=grid, t0=b - (cell + theta) * dt, dt=dt,
+                          values=np.zeros((nt, 1, 8), complex))
+    prop = ps.Propagator(sym, f)
+    t = f.times()
+    length = np.diff(t)[:, None]
+    # Re psi <= 0 makes the integrand nondecreasing in r, between
+    # |e_{j+1}|^2 at r = t_j and 1 at r = t_{j+1}
+    assert np.all(prop.weight >= length * np.abs(prop.step) ** 2 * (1 - 1e-12))
+    assert np.all(prop.weight <= length * (1 + 1e-12))
+    xi = grid.xi_axis()
+    want = [[_quad_cell_weight(sym, t[j], t[j + 1], v) for v in xi]
+            for j in range(nt - 1)]
+    np.testing.assert_allclose(prop.weight, want, rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 import paleyscope as ps
 
-from conftest import exp_decay, two_piece_families, with_out_of_band_mode
+from conftest import cell_weights, exp_decay, two_piece_families, with_out_of_band_mode
 
 
 @pytest.fixture()
@@ -36,12 +36,19 @@ def _fresh_block(spec, M, base_path):
     return np.stack([_fresh_increments(spec, base_path + m) for m in range(M)])
 
 
+def _full_grid_drive(prop):
+    """sqrt(W_j / dt) fhat_j over every mode, j = 0 .. nt - 2."""
+    return np.sqrt(prop.weight)[:, None] * prop.fhat[:-1] * (1 / np.sqrt(prop.dt))
+
+
 def _full_grid_slices(prop, t_index):
-    """Reference convolved slices over every mode, shape (nt, K) + grid.shape;
-    slices at j >= t_index stay zero."""
+    """Reference convolved slices over every mode, shape (nt, K) + grid.shape:
+    slice j < t_index is exp(I[t_index] - I[j+1]) sqrt(W_j / dt) fhat_j, the
+    others stay zero."""
     conv_hat = np.zeros_like(prop.fhat)
-    factors = np.cumprod(prop.step[:t_index][::-1], axis=0)[::-1]
-    conv_hat[:t_index] = factors[:, None] * prop.fhat[:t_index]
+    conv_hat[:t_index] = _full_grid_drive(prop)[:t_index]
+    factors = np.cumprod(prop.step[1:t_index][::-1], axis=0)[::-1]
+    conv_hat[:t_index - 1] *= factors[:, None]
     return conv_hat
 
 
@@ -52,10 +59,10 @@ def _full_grid_contract(prop, dw, t_index):
 
 def _full_grid_advance(prop, dw):
     """Reference recursion over every mode: yields u_hat(t_i), i = 1 .. nt - 1."""
+    drive = _full_grid_drive(prop)
     u = np.zeros((dw.shape[0],) + prop.grid.shape, dtype=complex)
     for i in range(1, prop.fhat.shape[0]):
-        forced = np.tensordot(dw[:, :, i - 1], prop.fhat[i - 1], axes=1)
-        u = prop.step[i - 1] * (u + forced)
+        u = prop.step[i - 1] * u + np.tensordot(dw[:, :, i - 1], drive[i - 1], axes=1)
         yield u
 
 
@@ -168,15 +175,16 @@ class TestSolution:
 
     def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid, heat,
                                                           forcing, spec):
-        # u(t_i) = sum_{j<i} sum_k (K(t_i, s_j) * f^k(s_j)) dW_kj with every
-        # kernel tabulated from its own time integral: each path at every
-        # time, and the ensemble at the last; the two-piece symbol's
-        # breakpoint 0.5 falls inside a step
+        # u(t_i) = sum_{j<i} sum_k (K(t_i, s_{j+1}) sqrt(W_j / dt) * f^k(s_j))
+        # dW_kj with every kernel tabulated from its own time integral: each
+        # path at every time, and the ensemble at the last; the two-piece
+        # symbol's breakpoint 0.5 falls inside a step
         two_piece = ps.FractionalSymbol(
             gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5)
         t = forcing.times()
         for sym in (heat, two_piece):
             ens = ps.simulate_ensemble(sym, forcing, spec, M=2, base_path=2)
+            held = np.sqrt(cell_weights(sym, t, grid) / forcing.dt)
             for m in range(2):
                 u = ps.stochastic_convolution(sym, forcing, spec,
                                               path=2 + m).values
@@ -184,7 +192,7 @@ class TestSolution:
                 want = np.zeros_like(u)
                 for i in range(1, spec.nt):
                     for j in range(i):
-                        km = ps.kernel_hat(sym, t[j], t[i], 0.0, grid)
+                        km = ps.kernel_hat(sym, t[j + 1], t[i], 0.0, grid) * held[j]
                         amp = ps.apply_multiplier(
                             ps.Field(grid, forcing.values[j]), km).values
                         want[i, 0] += dw[:, j] @ amp
@@ -195,14 +203,15 @@ class TestSolution:
 
 class TestSecondMoment:
     def test_matches_geometric_sum_oracle(self, grid, heat):
-        # single mode: E|u(t_i, x)|^2 = sum_{j<i} exp(-2 xi0^2 (t_i-t_j)) dt
+        # single mode held over every cell: E|u(t_i, x)|^2 is the whole
+        # integral int_0^{t_i} exp(-2 xi0^2 (t_i - s)) ds
         f, xi0 = _single_mode(grid, 32)
         spec = ps.NoiseSpec(K=1, seed=777, dt=f.dt, nt=32)
         M = 3000
         ens = ps.simulate_ensemble(heat, f, spec, M=M)
         samples = np.abs(ens.values[:, 32]) ** 2
         t = f.times()
-        exact = np.sum(np.exp(-2 * xi0 ** 2 * (t[31] - t[:31]))) * f.dt
+        exact = (1.0 - np.exp(-2 * xi0 ** 2 * t[31])) / (2 * xi0 ** 2)
         sd = samples.std(ddof=1) / np.sqrt(M)
         assert abs(samples.mean() - exact) < 4 * sd
 
@@ -237,6 +246,25 @@ class TestSecondMoment:
         assert est.std_error == pytest.approx(
             sq.std(ddof=1) / np.sqrt(64) / exact, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    def test_exact_moment_is_the_square_function(self, d, family):
+        # E|u(t*, x)|^2 = G f(t*, x)^2 at eta = 0, pointwise; the step 0.07
+        # puts the breakpoint 0.5 inside a step.  The check's exact moment is
+        # the sample standard error over its relative one.
+        sym = two_piece_families(d)[family]
+        g = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(g, 12, 1, t_window=0.77)
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=12)
+        ens = ps.simulate_ensemble(sym, f, spec, M=16)
+        G = ps.square_function(sym, 0.0, f).values[-1]
+        for x in [(g.n // 2,) * d, (3,) * d]:
+            est = ps.ito_isometry_check(ens, x_index=x)
+            sq = np.abs(ens.values[(slice(None),) + x]) ** 2
+            exact = sq.std(ddof=1) / np.sqrt(16) / est.std_error
+            assert exact == pytest.approx(G[x] ** 2, rel=1e-12)
+
     def test_zero_coefficients_rejected(self, grid, heat):
         vals = np.zeros((16, 1, 64), dtype=complex)
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
@@ -250,13 +278,14 @@ def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
     g = f.grid
     prop = ps.Propagator(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
+    held = np.sqrt(cell_weights(sym, f.times(), g) / f.dt)
     norms = np.empty(M)
     for m in range(M):
         dW = ps.sample_brownian_increments(spec, base_path + m)
-        z = np.einsum("jk...,kj->j...", prop.fhat, dW)
+        z = held * np.einsum("jk...,kj->j...", prop.fhat[:-1], dW[:, :-1])
         uhat = np.zeros((f.nt,) + g.shape, dtype=complex)
         for i in range(1, f.nt):
-            uhat[i] = np.sum(exp_decay(prop, i, i) * z[:i], axis=0)
+            uhat[i] = np.sum(exp_decay(prop, i, i + 1)[1:] * z[:i], axis=0)
         mag = np.abs(prop.to_space(riesz * uhat))
         norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
@@ -318,10 +347,11 @@ class TestHigherMoments:
 
     def test_second_moment_tracks_the_square_function(self, heat, forcing,
                                                       spec):
+        # at p = 2 the held scheme's E ||u||_2^2 is ||G f||_2^2 exactly, so
+        # only sampling noise separates the two
         est = ps.moment_bound_check(heat, forcing, spec, M=512, p=2.0,
                                     derivative_order=0.0)
-        # left-point time stepping vs trapezoid plus sampling noise
-        assert 0.7 < est.value / est.majorant < 1.3
+        assert abs(est.value - est.majorant) <= 5 * est.std_error
 
     def test_parameter_validation(self, heat, forcing, spec):
         with pytest.raises(ValueError):

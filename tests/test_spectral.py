@@ -99,25 +99,27 @@ class TestTransforms:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_support_columns_are_the_restricted_slices_and_steps(self, d):
-        # the step factors exponentiated on the support equal the grid's
-        # step factors restricted afterwards, bit for bit
+        # the step factors and cell weights formed on the support equal the
+        # grid's restricted afterwards, bit for bit
         g = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         sym = ps.FractionalSymbol(gamma=1.5, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
                                   nu=0.5)
         prop = ps.Propagator(sym, ps.corpus_entry(g, 12, 1, t_window=0.77))
-        keep, fhat, step = prop.on_support
+        keep, fhat, step, weight = prop.on_support
         assert keep is prop.support and keep.size == (8 if d == 1 else 80)
         np.testing.assert_array_equal(fhat, prop.fhat.reshape(12, 3, -1)[..., keep])
         np.testing.assert_array_equal(step, prop.step.reshape(11, -1)[:, keep])
+        np.testing.assert_array_equal(weight, prop.weight.reshape(11, -1)[:, keep])
 
     def test_full_support_columns_are_views(self):
         g = ps.SpaceGrid(d=2, n=8, L=7.0)
         v = np.random.default_rng(2).standard_normal((4, 2) + g.shape) + 0j
         prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5),
                              ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v))
-        keep, fhat, step = prop.on_support
+        keep, fhat, step, weight = prop.on_support
         assert keep.size == 64
         assert np.shares_memory(fhat, prop.fhat) and np.shares_memory(step, prop.step)
+        assert np.shares_memory(weight, prop.weight)
         assert np.shares_memory(prop.to_grid(fhat), prop.fhat)
 
     @pytest.mark.parametrize("d", [1, 2])

@@ -6,7 +6,7 @@ import pytest
 import paleyscope as ps
 from paleyscope import squarefn
 
-from conftest import exp_decay, two_piece_families, with_out_of_band_mode
+from conftest import cell_weights, exp_decay, two_piece_families, with_out_of_band_mode
 
 
 @pytest.fixture()
@@ -31,23 +31,22 @@ class TestSquareFunction:
                       density=([0.0, 0.5], [[1.0, 1.0], [0.5, 0.5]])),
     ], ids=["biharmonic", "levy"])
     def test_matches_slice_by_slice_kernel_oracle(self, sym):
-        # G f(t_i)^2 = sum_j w_j |K(t_i, s_j) * f(s_j)|^2 with every kernel
-        # tabulated from its own time integral; the step 0.11 puts the
-        # symbol's breakpoint 0.5 inside a step
+        # G f(t_i)^2 = sum_{j<i} |K(t_i, s_{j+1}) sqrt(W_j) * f(s_j)|^2 with
+        # every kernel tabulated from its own time integral; the step 0.11
+        # puts the symbol's breakpoint 0.5 inside a step
         grid = ps.SpaceGrid(d=1, n=16, L=20.0)
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((9, 2, 16)) + 1j * rng.standard_normal((9, 2, 16))
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.11, values=vals)
         eta = sym.order / 2
         t = f.times()
+        weight = cell_weights(sym, t, grid)
         want = np.zeros((9, 16))
         for i in range(1, 9):
-            w = np.full(i + 1, f.dt)
-            w[[0, -1]] *= 0.5
-            for j in range(i + 1):
-                km = ps.kernel_hat(sym, t[j], t[i], eta, grid)
+            for j in range(i):
+                km = ps.kernel_hat(sym, t[j + 1], t[i], eta, grid) * np.sqrt(weight[j])
                 amp = ps.apply_multiplier(ps.Field(grid, vals[j]), km).values
-                want[i] += w[j] * np.sum(np.abs(amp) ** 2, axis=0)
+                want[i] += np.sum(np.abs(amp) ** 2, axis=0)
         got = ps.square_function(sym, eta, f).values
         np.testing.assert_allclose(got, np.sqrt(want), rtol=1e-12)
 
@@ -59,13 +58,14 @@ class TestSquareFunction:
 
     def test_single_mode_matches_closed_form(self, grid, heat):
         # |K*f|(t,s) = |xi0| exp(-xi0^2 (t-s)) uniformly in x, so the
-        # squared output is the explicit integral (1 - exp(-2 xi0^2 t))/2.
+        # squared output is the explicit integral (1 - exp(-2 xi0^2 t))/2,
+        # which the cell weights of a field constant in time sum exactly.
         f, xi0 = _single_mode(grid, 2048, 1.0)
         g = ps.square_function(heat, 1.0, f)
         t = f.times()
         expected = np.sqrt((1.0 - np.exp(-2 * xi0 ** 2 * t)) / 2.0)
         err = np.max(np.abs(g.values - expected[:, None]))
-        assert err < 1e-4  # trapezoid bias at this step size
+        assert err < 1e-12
 
     def test_channels_add_in_quadrature(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
@@ -99,19 +99,19 @@ class TestSquareFunction:
 
 
 def _square_function_reference(sym, eta, f):
-    """G f by the direct per-time loop: every exp(I[i] - I[j]) formed anew,
-    every (i, j) pair transformed on its own multiplier."""
+    """G f by the direct per-time loop: every exp(I[i] - I[j+1]) formed anew,
+    the cell weights W_j from their per-sub-cell closed form, every (i, j)
+    pair transformed on its own multiplier."""
     g = f.grid
     prop = ps.Propagator(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
+    weight = cell_weights(sym, f.times(), g)
     out = np.zeros((f.nt,) + g.shape)
     for i in range(1, f.nt):
-        mult = riesz[None, ...] * exp_decay(prop, i, i + 1)  # (i+1,) + shape
-        amp = prop.to_space(mult[:, None, ...] * prop.fhat[: i + 1])
-        w = np.full(i + 1, f.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        out[i] = np.sqrt(np.einsum("j,jk...->...", w, np.abs(amp) ** 2))
+        # row j < i enters at t_{j+1}
+        mult = riesz * exp_decay(prop, i, i + 1)[1:] * np.sqrt(weight[:i])
+        amp = prop.to_space(mult[:, None, ...] * prop.fhat[:i])
+        out[i] = np.sqrt(np.sum(np.abs(amp) ** 2, axis=(0, 1)))
     return out
 
 
@@ -139,7 +139,7 @@ def _assert_routes_match_reference(sym, eta, f):
     atol 1e-12 max G."""
     want = _square_function_reference(sym, eta, f)
     for route in (squarefn._support_route, squarefn._fft_route):
-        got = route(ps.Propagator(sym, f), eta, f.dt)
+        got = route(ps.Propagator(sym, f), eta)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want.max(),
                                    err_msg=route.__name__)
 
@@ -211,7 +211,7 @@ class TestSupportRoute:
         assert route_log == ["_fft_route"]
         _assert_routes_match_reference(sym, sym.order / 2, f)
         np.testing.assert_array_equal(
-            got, squarefn._fft_route(ps.Propagator(sym, f), sym.order / 2, f.dt))
+            got, squarefn._fft_route(ps.Propagator(sym, f), sym.order / 2))
 
     @pytest.mark.parametrize("d, m, route", [
         (1, 16, "_support_route"), (1, 17, "_fft_route"),
@@ -258,6 +258,52 @@ class TestParsevalNorm:
         f = ps.corpus_entry(grid, 16, 0)
         with pytest.raises(ValueError):
             ps.square_function_l2(heat, -0.5, f)
+
+
+def _grid_constant(sym, eta, grid, dt, nt):
+    """Squared norm of the grid's p = 2 map f -> G f from t_0 = 0.
+
+    By Parseval the map is diagonal in the mode and, per mode, sends the
+    held slices q_j = |fhat_j|^2 to sum_i B_i; slice j counts
+    |xi|^(2 eta) W_j R_j times, R_j = sum_{i > j} |exp(I[i] - I[j+1])|^2,
+    which one backward pass over the step factors forms.
+    """
+    f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=dt,
+                          values=np.zeros((nt, 1) + grid.shape, complex))
+    prop = ps.Propagator(sym, f)
+    riesz2 = ps.fractional_multiplier(grid, eta) ** 2
+    gain = np.abs(prop.step) ** 2
+    R = np.ones(grid.shape)
+    worst = np.max(riesz2 * prop.weight[nt - 2])
+    for j in range(nt - 3, -1, -1):
+        R = 1.0 + gain[j + 1] * R
+        worst = max(worst, np.max(riesz2 * prop.weight[j] * R))
+    return worst
+
+
+_BENCH_BIHARMONIC = ps.PolyFormSymbol(
+    m=2, coeffs={((2,), (2,)): ([0.0, 0.5], [1.0, 2.0])}, nu=0.5)
+_DEFECT_B_LEVY = ps.LevySymbol(k=0, gamma=0.5, d=2, nodes=8,
+                               density=([0.0, 0.5], [[1.0] * 8, [0.5] * 8]))
+
+
+class TestGridConstant:
+    @pytest.mark.parametrize("sym, grid, nt", [
+        *[(two_piece_families(d)[k], ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0), 40)
+          for d in (1, 2) for k in range(3)],
+        (_BENCH_BIHARMONIC, ps.SpaceGrid(d=1, n=128, L=20.0), 128),
+        (_DEFECT_B_LEVY, ps.SpaceGrid(d=2, n=32, L=20.0), 32),
+    ], ids=["fractional-1", "polyform-1", "levy-1", "fractional-2", "polyform-2",
+            "levy-2", "bench-biharmonic", "defect-b-levy"])
+    def test_p2_map_stays_under_the_decay_constant(self, sym, grid, nt):
+        # ||G f||_2^2 <= C0 ||f||_2^2 on the grid for every f, with C0 the sup
+        # over the grid's modes and over start times; the steps 0.07,
+        # 1/127 and 1/31 put the breakpoint 0.5 inside a step
+        dt = 0.07 if nt == 40 else 1.0 / (nt - 1)
+        eta = sym.order / 2
+        xi = grid.xi_grid().reshape(-1, grid.d)
+        c0 = ps.verify_assumption1(sym, eta, xi)
+        assert _grid_constant(sym, eta, grid, dt, nt) <= c0 * (1 + 1e-12)
 
 
 class TestNorms:
