@@ -229,6 +229,8 @@ def load_config(path):
         space = SpaceGrid(d=grid["d"], n=grid["n"], L=grid["L"])
     except ValueError as e:
         raise ConfigError(f"invalid grid block: {e}") from None
+    if sym is not None and sym.dim not in (None, space.d):
+        raise ConfigError(f"the symbol is {sym.dim}-dimensional, grid.d is {space.d}")
     return ExperimentConfig(symbol=sym, grid=space, nt=grid["nt"], t_window=grid["t_window"],
                             corpus=blocks["corpus"], p_list=top["p_list"], mc=blocks["mc"],
                             kernel=blocks["kernel"], eta=top["eta"], nu=top["nu"],
@@ -314,10 +316,9 @@ def _corpus(cfg, entry=None):
 
 def _suite_assumptions(cfg, out_dir):
     sym = _suite_symbol(cfg, "assumptions")
-    d = sym.dim or cfg.grid.d  # fractional symbols take the grid's dimension
     gamma = sym.order
-    ke = theorem_exponents(Fraction(gamma).limit_denominator(10 ** 9), d)
-    xi = _xi_samples(d)
+    ke = theorem_exponents(Fraction(gamma).limit_denominator(10 ** 9), cfg.grid.d)
+    xi = _xi_samples(cfg.grid.d)
     c0 = verify_assumption1(sym, cfg.eta, xi)
     times = sorted({0.0, *map(float, sym.breakpoints)})
     ell = check_ellipticity(sym, cfg.nu, xi, times)
@@ -353,7 +354,7 @@ def _suite_assumptions(cfg, out_dir):
     return all(checks.values())
 
 
-def _suite_lp_ratio(cfg, out_dir, threads):
+def _suite_lp_ratio(cfg, out_dir):
     sym = _suite_symbol(cfg, "lp-ratio")
     grid = cfg.grid
     fields = _corpus(cfg)
@@ -369,13 +370,11 @@ def _suite_lp_ratio(cfg, out_dir, threads):
                      else lp_space_time_norm(G, p)) / lp_space_time_norm(f, p))
                 for p in cfg.p_list]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, fields))
     rows = []
     ok = True
     family = sym.family
     gm = _gamma_or_m(sym)
-    for ratios in results:
+    for ratios in map(one, fields):
         for p, ratio in ratios:
             # only p = 2 rows are gated; the others leave bound and pass empty
             gated, passed = p == 2.0, ratio <= bound
@@ -508,7 +507,7 @@ def run_experiment(suite, cfg, out_dir, threads=None, args=None):
     except OSError as e:
         raise ConfigError(f"--out {out_dir!r} is not a usable directory: {e.strerror}") from None
     run = {"assumptions": lambda: _suite_assumptions(cfg, out_dir),
-           "lp-ratio": lambda: _suite_lp_ratio(cfg, out_dir, threads),
+           "lp-ratio": lambda: _suite_lp_ratio(cfg, out_dir),
            "sharp-bound": lambda: _suite_sharp_bound(cfg, out_dir, threads),
            "spde": lambda: _suite_spde(cfg, out_dir),
            "exponents": lambda: _suite_exponents(
@@ -532,7 +531,7 @@ def _build_parser():
     parser.add_argument("--config", help="experiment JSON path")
     parser.add_argument("--out", default=".", help="report output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads, 0 = auto (env PALEY_THREADS)")
+                        help="sharp-bound worker threads, 0 = auto (env PALEY_THREADS)")
     parser.add_argument("--gamma", action="append",
                         help="exponents suite: order(s), repeatable or comma-separated")
     parser.add_argument("--dim", action="append",

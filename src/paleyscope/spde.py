@@ -27,21 +27,30 @@ every time is needed, the same sum is carried forward by the recursion
     u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k sqrt(W_{i-1} / dt) fhat^k(s_{i-1}) dW^k_{i-1}.
 
 The ensemble routes run on the m columns of the forcing's spectral
-support (``Propagator.on_support``), since u_hat vanishes wherever every
-fhat^k does; a block goes back to the grid (``Propagator.to_grid``), zero
-off the support, only for the inverse transform that reads space values.
-The single path of :func:`stochastic_convolution` runs on the whole grid,
-where u(t_i) reads slices j < i only, bit for bit.
+support, where the Propagator holds fhat, e and W, since u_hat vanishes
+wherever every fhat^k does; a block goes back to the grid
+(``Propagator.to_grid``), zero off the support, only for the inverse
+transform that reads space values.  The single path of
+:func:`stochastic_convolution` runs on the whole grid, from the same
+helpers, where u(t_i) reads slices j < i only, bit for bit.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spectral import Propagator, SpaceTimeField, fractional_multiplier
+from .spectral import (
+    Propagator,
+    _cell_weights,
+    _step_factors,
+    cumulative_symbol_integrals,
+    fractional_multiplier,
+    to_frequency,
+    to_space,
+)
 from .squarefn import DegenerateFieldError, lp_ratio, lp_space_time_norm
 
 __all__ = [
@@ -150,35 +159,31 @@ def _check_compatible(f, spec):
         raise ValueError("field and noise specify different time steps")
 
 
-def _convolved_slices(prop, t_index):
-    """Convolved slices (p(t*, s_{j+1}) * sqrt(W_j / dt) f^k(s_j)) for j < t*
-    on the support.
+def _convolved_slices(prop):
+    """Convolved slices (p(t_last, s_{j+1}) * sqrt(W_j / dt) f^k(s_j)) for
+    j < nt - 1 on the support.
 
-    Shape ``(nt, K, m)`` over the m columns of ``prop.on_support``; slices
-    at j >= t_index stay zero.  The factors exp(I[i] - I[j+1]) =
-    e_{j+2} ... e_i are the backward cumulative products of the step
-    factors, each of modulus at most 1, so elliptic decay cannot overflow.
+    Shape ``(nt, K, m)`` over the m columns of ``prop``; the last slice
+    stays zero.  The factors exp(I[nt-1] - I[j+1]) = e_{j+2} ... e_{nt-1}
+    are the backward cumulative products of the step factors, each of
+    modulus at most 1, so elliptic decay cannot overflow.
     """
-    _, fhat, step, _ = prop.on_support
-    conv = np.zeros_like(fhat)
-    conv[:t_index] = prop.held(1 / np.sqrt(prop.dt), on_support=True)[:t_index]
-    conv[:t_index - 1] *= np.cumprod(step[t_index - 1:0:-1], axis=0)[::-1, None]
+    conv = np.zeros_like(prop.fhat)
+    conv[:-1] = prop.held(1 / np.sqrt(prop.dt))
+    conv[:-2] *= np.cumprod(prop.step[:0:-1], axis=0)[::-1, None]
     return conv
 
 
-def _advance(prop, dw, on_grid=False):
-    """Yield u_hat(t_i) for i = 1 .. nt - 1 of every path in the block ``dw``.
+def _advance(step, drive, dw):
+    """Yield u_hat(t_i), i = 1 .. nt - 1, of every path in the block ``dw``.
 
-    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k dW[:, k, i-1] sqrt(W_{i-1} / dt)
-    fhat[i-1, k] from u_hat(t_0) = 0 on the m support columns of
-    ``prop.on_support``, shape ``(M, m)``, or with ``on_grid`` on every
-    mode, shape ``(M,) + grid.shape``.  This is the sum
-    :func:`simulate_ensemble` contracts at one time, carried one step at a
-    time, so each step costs O(M * K) per mode whatever nt is.  The yielded
-    array is replaced, not modified, by the next step.
+    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k dW[:, k, i-1] drive[i-1, k] from
+    u_hat(t_0) = 0, with e_i in ``step`` row i - 1 and the held slices
+    sqrt(W_j / dt) fhat_j in ``drive``, over the mode axes the two share.
+    It carries the sum :func:`simulate_ensemble` contracts at one time, at
+    O(M * K) per mode and step whatever nt is.  The yielded array is
+    replaced, not modified, by the next step.
     """
-    step = prop.step if on_grid else prop.on_support[2]
-    drive = prop.held(1 / np.sqrt(prop.dt), on_support=not on_grid)
     u = np.zeros(dw.shape[:1] + step.shape[1:], dtype=complex)
     for j, row in enumerate(drive):
         u = step[j] * u + np.tensordot(dw[:, :, j], row, axes=1)
@@ -209,7 +214,7 @@ def simulate_ensemble(sym, f, spec, M, base_path=0):
     dw = _increment_block(spec, M, base_path)
     # the whole (M, K, nt) block against the zero-padded slices, uncopied
     values = prop.to_space(prop.to_grid(
-        np.tensordot(dw, _convolved_slices(prop, f.nt - 1), axes=([1, 2], [1, 0]))))
+        np.tensordot(dw, _convolved_slices(prop), axes=([1, 2], [1, 0]))))
     return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
                         values=values, propagator=prop)
 
@@ -221,17 +226,19 @@ def stochastic_convolution(sym, f, spec, path):
     u(t_0) = 0 and u(t_i) depend only on increments with j < i.  One
     :func:`_advance` pass records every time, at O(nt) steps per path.
 
-    The pass runs on the whole grid, not on the support: the support is
-    the peak over all times, so a later slice that added a mode would move
-    earlier times by that mode's forward-FFT rounding.  On the grid u(t_i)
-    reads the forcing slices j < i only, bit for bit.
+    The pass runs on every mode of the grid, from the Propagator's helpers:
+    the support reads all times, so a later slice that added a mode would
+    move earlier times by that mode's forward-FFT rounding.  On the grid
+    u(t_i) reads the forcing slices j < i only, bit for bit.
     """
     _check_compatible(f, spec)
-    prop = Propagator(sym, f)
+    fhat = to_frequency(f).values
+    step = _step_factors(cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt))
+    W = _cell_weights(sym, f.times(), f.grid.xi_grid())
+    drive = np.sqrt(W)[:, None] * fhat[:-1] * (1 / np.sqrt(f.dt))
     u_hat = np.zeros((f.nt, 1) + f.grid.shape, dtype=complex)
-    u_hat[1:] = list(_advance(prop, _increment_block(spec, 1, path), on_grid=True))
-    return SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
-                          values=prop.to_space(u_hat), domain="space")
+    u_hat[1:] = list(_advance(step, drive, _increment_block(spec, 1, path)))
+    return to_space(replace(f, values=u_hat, domain="freq"))
 
 
 def ito_isometry_check(ensemble, x_index=None):
@@ -247,7 +254,7 @@ def ito_isometry_check(ensemble, x_index=None):
     """
     x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
     prop = ensemble.propagator
-    coeff = prop.to_point(_convolved_slices(prop, ensemble.spec.nt - 1), x_index)
+    coeff = prop.to_point(_convolved_slices(prop), x_index)
     exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")
@@ -285,7 +292,7 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     riesz = prop.columns(fractional_multiplier(g, eta))
     dw = _increment_block(spec, M, base_path)
     sums = np.zeros(M)
-    for u_hat in _advance(prop, dw):
+    for u_hat in _advance(prop.step, prop.held(1 / np.sqrt(prop.dt)), dw):
         mag = np.abs(prop.to_space(prop.to_grid(riesz * u_hat)))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt

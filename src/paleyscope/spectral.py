@@ -14,7 +14,8 @@ so the offset phase is real +-1).  The inverse applies the same phase before
 
 Kernel multipliers K_hat(t, s, xi) = |xi|^eta exp(int_s^t psi(r, xi) dr) are
 synthesized exactly from the piecewise-constant symbols of
-:mod:`paleyscope.symbols`.
+:mod:`paleyscope.symbols`.  A :class:`Propagator` holds that evolution for
+one space-time field on the modes where the field lives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -262,82 +262,43 @@ def _cell_weights(sym, times, xi):
 
 
 class Propagator:
-    """The evolution of ``sym`` applied to the slices of a space-time field.
+    """The evolution of ``sym`` applied to the slices of a space-time field,
+    on the m modes of its spectral :attr:`support`.
 
-    Holds the transformed slices ``fhat``, shape ``(nt, K_H) + grid.shape``,
-    and the cumulative symbol integrals ``integrals`` (I) on the field's time
-    grid.  Slice j is held on the cell [t_j, t_{j+1}): it enters at t_{j+1}
-    with the cell's squared-kernel integral ``weight`` W_j per mode and
-    reaches t_i through exp(I[i] - I[j+1]), which every route forms from
-    the step factors ``step`` alone.
+    ``fhat``, shape ``(nt, K_H, m)``, holds the transformed slices on those
+    modes; ``step`` and ``weight``, shape ``(nt - 1, m)``, the one-step
+    factors e_i = exp(I[i] - I[i-1]) in row i - 1 and the cell weights W_j,
+    formed from the symbol at those modes only (I: the cumulative symbol
+    integrals).  Slice j is held on the cell [t_j, t_{j+1}): it enters at
+    t_{j+1} with weight W_j and reaches t_i through e_{j+2} ... e_i.
+    Re psi <= 0 gives |e_i| <= 1, so no recursion on the factors can
+    overflow, and dt |e_{j+1}|^2 <= W_j <= dt.
+
+    A mode is in ``support`` (flat grid indices, ascending; empty for a
+    zero field) when, in some (time, channel) slice, its |fhat| exceeds
+    64 eps times that slice's peak.  Each slice is its own forward FFT,
+    whose worst-case rounding on a coefficient is about 5 log2(n^d) eps
+    times the slice's 2-norm, 1 to n^(d/2) times its peak: a mode below the
+    threshold in every slice holds about what rounding alone may leave.
     """
 
     def __init__(self, sym, f):
-        self.grid = f.grid
-        self.fhat = to_frequency(f).values
-        self.integrals = cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
+        g = self.grid = f.grid
         self.dt = f.dt
-        self._sym = sym
-        self._times = f.times()
+        fhat = to_frequency(f).values
+        mag = np.abs(fhat).reshape(f.nt, f.k_h, -1)
+        keep = mag > 64 * np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
+        self.support = np.flatnonzero(keep.any(axis=(0, 1)))
+        self.fhat = self.columns(fhat)
+        xi = g.xi_grid().reshape(-1, g.d)[self.support]
+        times = f.times()
+        self.step = _step_factors(sym.time_integral(f.t0, times, xi))
+        self.weight = _cell_weights(sym, times, xi)
 
-    @cached_property
-    def step(self):
-        """One-step factors e_i = exp(I[i] - I[i-1]) in row i - 1, i = 1 .. nt - 1.
-
-        Shape ``(nt - 1,) + grid.shape``, formed on first use.  Re psi <= 0
-        gives |e_i| <= 1, so recursions that multiply by them cannot
-        overflow; the product of rows j .. i - 1 is exp(I[i] - I[j]) up to
-        rounding.
-        """
-        return _step_factors(self.integrals)
-
-    @cached_property
-    def weight(self):
-        """Cell weights W_j, j = 0 .. nt - 2, shape ``(nt - 1,) + grid.shape``,
-        formed on first use.  Re psi <= 0 gives dt |e_{j+1}|^2 <= W_j <= dt."""
-        return _cell_weights(self._sym, self._times, self.grid.xi_grid())
-
-    @cached_property
-    def support(self):
-        """Flat grid indices, ascending, of the modes where ``fhat`` lives.
-
-        A mode belongs when its peak |fhat| over times and channels exceeds
-        64 eps times the peak over all modes: the forward FFT's worst-case
-        rounding, about 5 log2(n^d) eps ||fhat||_2, already reaches that
-        size on any coefficient, so a mode below it carries nothing the
-        transform resolved.  Empty for an all-zero field.
-        """
-        size = self.grid.n ** self.grid.d
-        peak = np.abs(self.fhat).reshape(-1, size).max(axis=0)
-        return np.flatnonzero(peak > 64 * np.finfo(float).eps * peak.max())
-
-    @cached_property
-    def on_support(self):
-        """``(support, columns(fhat), step and weight on the support columns)``.
-
-        The slices have shape ``(nt, K_H, m)``, the step factors and the
-        weights ``(nt - 1, m)`` for the m modes of :attr:`support`; both are
-        formed on those columns only, which gives the bits of :attr:`step`
-        and :attr:`weight` restricted afterwards.  When the support is the
-        whole grid, all three are reshaped views of the grid arrays.
-        """
-        g = self.grid
-        if self.support.size == g.n ** g.d:
-            step, weight = self.columns(self.step), self.columns(self.weight)
-        else:
-            step = _step_factors(self.columns(self.integrals))
-            xi = g.xi_grid().reshape(-1, g.d)[self.support]
-            weight = _cell_weights(self._sym, self._times, xi)
-        return self.support, self.columns(self.fhat), step, weight
-
-    def held(self, scale, on_support=False):
-        """sqrt(W_j) scale fhat_j, j = 0 .. nt - 2, as slice j enters at t_{j+1}:
-        on the grid or, with ``on_support``, on the support columns."""
-        if on_support:
-            _, fhat, _, weight = self.on_support
-        else:
-            fhat, weight = self.fhat, self.weight
-        return np.sqrt(weight)[:, None] * fhat[:-1] * scale
+    def held(self, scale):
+        """sqrt(W_j) scale fhat_j, j = 0 .. nt - 2, as slice j enters at
+        t_{j+1}, on the support columns."""
+        return np.sqrt(self.weight)[:, None] * self.fhat[:-1] * scale
 
     def columns(self, values):
         """``values`` on the :attr:`support` modes: the last d (grid) axes

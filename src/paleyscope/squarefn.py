@@ -8,9 +8,10 @@ square function at grid time t_i is
 with K the kernel whose multiplier is |xi|^eta exp(int_s^{t_i} psi).  The s
 integral holds f at f(t_j) on each cell [t_j, t_{j+1}) and integrates the
 kernel over the cell exactly per mode, so G(t_i) reads the slices j < i.
-When f lives on m modes with m^2 <= nt n^d, G is carried as an m x m
-covariance on those modes and inverse-transformed once; otherwise every
-carried row is inverse-transformed at every step.  The empirical ratio
+Both routes read what a Propagator holds on the m modes where f lives.
+With m^2 <= nt n^d, G is carried as an m x m covariance on those modes
+and inverse-transformed once; otherwise every carried row goes back on
+the grid and is inverse-transformed at every step.  The empirical ratio
 ||G f||_p / || |f|_H ||_p is the quantity the L_p theory bounds uniformly in f.
 """
 
@@ -148,9 +149,8 @@ def _support_route(prop, eta):
     g = prop.grid
     size = g.n ** g.d
     nt = prop.fhat.shape[0]
-    keep, _, e, _ = prop.on_support
-    factor = fractional_multiplier(g, eta) * prop.inverse_factor()
-    a = prop.held(prop.columns(factor), on_support=True)
+    keep, e = prop.support, prop.step
+    a = prop.held(prop.columns(fractional_multiplier(g, eta) * prop.inverse_factor()))
     # difference frequency of each pair, one index per real and imaginary part
     modes = np.unravel_index(keep, g.shape)
     delta = np.ravel_multi_index([(ax[:, None] - ax[None, :]) % g.n for ax in modes],
@@ -168,12 +168,15 @@ def _support_route(prop, eta):
 
 
 def _fft_route(prop, eta):
-    """G f values by the carried FFT loop, one inverse transform per step."""
+    """G f values by the carried FFT loop, one inverse transform per step,
+    on the grid with the amplitude block and step rows zero off the support."""
     nt = prop.fhat.shape[0]
-    amp = prop.held(fractional_multiplier(prop.grid, eta) * prop.inverse_factor())
+    factor = fractional_multiplier(prop.grid, eta) * prop.inverse_factor()
+    amp = prop.to_grid(prop.held(prop.columns(factor)))
+    step = prop.to_grid(prop.step)
     out = np.zeros((nt,) + prop.grid.shape)
     for i in range(1, nt):
-        amp[:i - 1] *= prop.step[i - 1]
+        amp[:i - 1] *= step[i - 1]
         space = prop.ifft(amp[:i])
         out[i] = np.sqrt(np.sum(space.real ** 2 + space.imag ** 2, axis=(0, 1)))
     return out
@@ -196,13 +199,12 @@ def square_function_l2(sym, eta, f):
         raise ValueError("eta must be nonnegative")
     g = f.grid
     prop = Propagator(sym, f)
-    _, fhat, step, weight = prop.on_support
-    q = np.sum(np.abs(fhat) ** 2, axis=1)
-    gain = np.abs(step) ** 2
+    q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
+    gain = np.abs(prop.step) ** 2
     B = np.zeros(q.shape[1:])
     total = np.zeros(q.shape[1:])
     for i in range(1, f.nt):
-        B = gain[i - 1] * B + weight[i - 1] * q[i - 1]
+        B = gain[i - 1] * B + prop.weight[i - 1] * q[i - 1]
         total += B
     riesz = prop.columns(fractional_multiplier(g, eta))
     return float(np.sqrt(f.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))

@@ -1,10 +1,13 @@
 """Shared fixtures: symbol instances and cached corpus ratio tables."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import paleyscope as ps
+from paleyscope import spectral
 
 # Frequency samples used wherever the decay constant is profiled; the
 # origin is excluded by the API contract.
@@ -60,11 +63,26 @@ def cell_weights(sym, times, grid):
     return out
 
 
-def exp_decay(prop, i, stop):
+GridArrays = namedtuple("GridArrays", "fhat integrals step weight")
+
+
+def grid_arrays(sym, f):
+    """What a Propagator of ``(sym, f)`` holds, on every mode of the grid and
+    built without it: the transformed slices ``fhat``, shape
+    ``(nt, K_H) + grid.shape``; the cumulative integrals I, ``(nt,) +
+    grid.shape``; and the step factors and cell weights, ``(nt - 1,) +
+    grid.shape``."""
+    integrals = ps.cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
+    return GridArrays(ps.to_frequency(f).values, integrals,
+                      spectral._step_factors(integrals),
+                      spectral._cell_weights(sym, f.times(), f.grid.xi_grid()))
+
+
+def exp_decay(integrals, i, stop):
     """exp(I[i] - I[j]) for j < stop, shape ``(stop,) + grid.shape``: every
-    kernel factor exponentiated from the propagator's cumulative integrals,
-    independently of its step factors."""
-    return np.exp(prop.integrals[i][None] - prop.integrals[:stop])
+    kernel factor exponentiated from the cumulative integrals, independently
+    of the step factors."""
+    return np.exp(integrals[i][None] - integrals[:stop])
 
 
 def two_piece_families(d):

@@ -94,6 +94,12 @@ class TestConfig:
         {"corpus": {"seed": 2 ** 64}},
         {"mc": {"seed": 2 ** 64}},
         {"mc": {"entry": 2 ** 64}},
+        # a symbol whose dimension is not grid.d (1 by default)
+        {"symbol": {"family": "levy", "k": 0, "gamma": 0.5, "d": 2, "nodes": 16,
+                    "density": {"breakpoints": [0.0], "table": [[1.0] * 16]}}},
+        {"symbol": {"family": "polyform", "m": 1, "coeffs": [
+            {"alpha": a, "beta": a, "values": 1.0}
+            for a in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]}},
     ])
     def test_bad_values_are_usage_errors(self, tmp_path, capsys, block):
         path = tmp_path / "bad.json"

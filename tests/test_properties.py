@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import paleyscope as ps
 from paleyscope import spde
 
-from conftest import exp_decay, quad_profile
+from conftest import exp_decay, grid_arrays, quad_profile
 
 EPS = np.finfo(float).eps
 NU = 0.5
@@ -68,7 +68,7 @@ def propagators(draw):
 @given(case=propagators())
 def test_step_factors_never_grow(case):
     _, f, prop = case
-    assert prop.step.shape == (f.nt - 1,) + f.grid.shape
+    assert prop.step.shape == (f.nt - 1, prop.support.size)
     assert np.all(np.abs(prop.step) <= 1.0 + 1e-15)
 
 
@@ -77,17 +77,18 @@ def test_step_factors_never_grow(case):
 def test_step_products_follow_the_semigroup_law(case, data):
     # prod_{l = j+1 .. i} e_l = exp(I[i] - I[j]); the rounding of the summed
     # exponent grows with |I[i] - I[j]|, so the tolerance does too
-    _, f, prop = case
+    sym, f, prop = case
     nt = f.nt
     i = data.draw(st.integers(1, nt - 1))
-    want = exp_decay(prop, i, i + 1)
+    integrals = prop.columns(grid_arrays(sym, f).integrals)
+    want = exp_decay(integrals, i, i + 1)
     tiny = np.finfo(float).tiny
-    prod = np.ones(f.grid.shape, dtype=complex)
+    prod = np.ones(prop.support.size, dtype=complex)
     for j in range(i - 1, -1, -1):
         prod = prod * prop.step[j]
         ref = want[j]
         normal = np.abs(ref) >= tiny
-        tol = 4 * nt * EPS * (1.0 + np.abs(prop.integrals[i] - prop.integrals[j]))
+        tol = 4 * nt * EPS * (1.0 + np.abs(integrals[i] - integrals[j]))
         err = np.abs(prod - ref)
         assert np.all(err[normal] <= tol[normal] * np.abs(ref[normal]))
 
@@ -103,8 +104,8 @@ def test_recursion_is_causal(case, data):
     tampered[i:] = 7.7 + 0.1j
     prop2 = ps.Propagator(sym, ps.SpaceTimeField(grid=f.grid, t0=f.t0,
                                                  dt=f.dt, values=tampered))
-    u = list(spde._advance(prop, dw))
-    u2 = list(spde._advance(prop2, dw))
+    u, u2 = ([*spde._advance(p.step, p.held(1 / np.sqrt(p.dt)), dw)]
+             for p in (prop, prop2))
     np.testing.assert_array_equal(u[i - 1], u2[i - 1])
     if i < f.nt - 1:
         assert not np.array_equal(u[i], u2[i])
@@ -148,17 +149,17 @@ def test_cell_weights_bracket_and_match_quadrature(sym, data, dt, theta, cell, n
     grid = ps.SpaceGrid(d=1, n=8, L=data.draw(st.floats(5.0, 40.0)))
     f = ps.SpaceTimeField(grid=grid, t0=b - (cell + theta) * dt, dt=dt,
                           values=np.zeros((nt, 1, 8), complex))
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     t = f.times()
     length = np.diff(t)[:, None]
     # Re psi <= 0 makes the integrand nondecreasing in r, between
     # |e_{j+1}|^2 at r = t_j and 1 at r = t_{j+1}
-    assert np.all(prop.weight >= length * np.abs(prop.step) ** 2 * (1 - 1e-12))
-    assert np.all(prop.weight <= length * (1 + 1e-12))
+    assert np.all(ref.weight >= length * np.abs(ref.step) ** 2 * (1 - 1e-12))
+    assert np.all(ref.weight <= length * (1 + 1e-12))
     xi = grid.xi_axis()
     want = [[_quad_cell_weight(sym, t[j], t[j + 1], v) for v in xi]
             for j in range(nt - 1)]
-    np.testing.assert_allclose(prop.weight, want, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(ref.weight, want, rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,15 @@ import pytest
 
 import paleyscope as ps
 
-from conftest import cell_weights, exp_decay, two_piece_families, with_out_of_band_mode
+from paleyscope import spectral
+
+from conftest import (
+    cell_weights,
+    exp_decay,
+    grid_arrays,
+    two_piece_families,
+    with_out_of_band_mode,
+)
 
 
 @pytest.fixture()
@@ -36,33 +44,34 @@ def _fresh_block(spec, M, base_path):
     return np.stack([_fresh_increments(spec, base_path + m) for m in range(M)])
 
 
-def _full_grid_drive(prop):
-    """sqrt(W_j / dt) fhat_j over every mode, j = 0 .. nt - 2."""
-    return np.sqrt(prop.weight)[:, None] * prop.fhat[:-1] * (1 / np.sqrt(prop.dt))
+def _full_grid_drive(ref, dt):
+    """sqrt(W_j / dt) fhat_j over every mode, j = 0 .. nt - 2, from the
+    ``grid_arrays`` ``ref``."""
+    return np.sqrt(ref.weight)[:, None] * ref.fhat[:-1] * (1 / np.sqrt(dt))
 
 
-def _full_grid_slices(prop, t_index):
+def _full_grid_slices(ref, dt, t_index):
     """Reference convolved slices over every mode, shape (nt, K) + grid.shape:
     slice j < t_index is exp(I[t_index] - I[j+1]) sqrt(W_j / dt) fhat_j, the
     others stay zero."""
-    conv_hat = np.zeros_like(prop.fhat)
-    conv_hat[:t_index] = _full_grid_drive(prop)[:t_index]
-    factors = np.cumprod(prop.step[1:t_index][::-1], axis=0)[::-1]
+    conv_hat = np.zeros_like(ref.fhat)
+    conv_hat[:t_index] = _full_grid_drive(ref, dt)[:t_index]
+    factors = np.cumprod(ref.step[1:t_index][::-1], axis=0)[::-1]
     conv_hat[:t_index - 1] *= factors[:, None]
     return conv_hat
 
 
-def _full_grid_contract(prop, dw, t_index):
+def _full_grid_contract(ref, dt, dw, t_index):
     """Reference u_hat(t_i) of every path over every mode, in one contraction."""
-    return np.tensordot(dw, _full_grid_slices(prop, t_index), axes=([1, 2], [1, 0]))
+    return np.tensordot(dw, _full_grid_slices(ref, dt, t_index), axes=([1, 2], [1, 0]))
 
 
-def _full_grid_advance(prop, dw):
+def _full_grid_advance(ref, dt, dw):
     """Reference recursion over every mode: yields u_hat(t_i), i = 1 .. nt - 1."""
-    drive = _full_grid_drive(prop)
-    u = np.zeros((dw.shape[0],) + prop.grid.shape, dtype=complex)
-    for i in range(1, prop.fhat.shape[0]):
-        u = prop.step[i - 1] * u + np.tensordot(dw[:, :, i - 1], drive[i - 1], axes=1)
+    drive = _full_grid_drive(ref, dt)
+    u = np.zeros(dw.shape[:1] + ref.step.shape[1:], dtype=complex)
+    for i in range(1, ref.fhat.shape[0]):
+        u = ref.step[i - 1] * u + np.tensordot(dw[:, :, i - 1], drive[i - 1], axes=1)
         yield u
 
 
@@ -235,8 +244,7 @@ class TestSecondMoment:
         spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=10)
         ens = ps.simulate_ensemble(heat, f, spec, M=64)
         x = (g.n // 2,) * d if x_index is None else x_index
-        prop = ens.propagator
-        coeff = prop.to_space(_full_grid_slices(prop, 9))[
+        coeff = spectral._inverse(g, _full_grid_slices(grid_arrays(heat, f), f.dt, 9))[
             (slice(None), slice(None)) + x]
         exact = np.sum(np.abs(coeff) ** 2) * spec.dt
         sq = np.abs(ens.values[(slice(None),) + x]) ** 2
@@ -276,17 +284,17 @@ class TestSecondMoment:
 def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
     """Reference route: every path convolved on its own, O(nt^2) per path."""
     g = f.grid
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
     held = np.sqrt(cell_weights(sym, f.times(), g) / f.dt)
     norms = np.empty(M)
     for m in range(M):
         dW = ps.sample_brownian_increments(spec, base_path + m)
-        z = held * np.einsum("jk...,kj->j...", prop.fhat[:-1], dW[:, :-1])
+        z = held * np.einsum("jk...,kj->j...", ref.fhat[:-1], dW[:, :-1])
         uhat = np.zeros((f.nt,) + g.shape, dtype=complex)
         for i in range(1, f.nt):
-            uhat[i] = np.sum(exp_decay(prop, i, i + 1)[1:] * z[:i], axis=0)
-        mag = np.abs(prop.to_space(riesz * uhat))
+            uhat[i] = np.sum(exp_decay(ref.integrals, i, i + 1)[1:] * z[:i], axis=0)
+        mag = np.abs(spectral._inverse(g, riesz * uhat))
         norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
     return np.mean(norms) / scale, np.std(norms, ddof=1) / np.sqrt(M) / scale
@@ -296,12 +304,12 @@ def _moment_by_contraction(sym, f, spec, M, p, eta, base_path):
     """Reference route: every time step contracted from scratch over the
     whole grid."""
     g = f.grid
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
     dw = _fresh_block(spec, M, base_path)
     sums = np.zeros(M)
     for i in range(1, f.nt):
-        mag = np.abs(prop.to_space(riesz * _full_grid_contract(prop, dw, i)))
+        mag = np.abs(spectral._inverse(g, riesz * _full_grid_contract(ref, f.dt, dw, i)))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
@@ -392,23 +400,24 @@ def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
     forms it but over every mode.
     """
     g = f.grid
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     dw = _fresh_block(spec, M, base_path)
-    ens = prop.to_space(_full_grid_contract(prop, dw, f.nt - 1))
+    ens = spectral._inverse(g, _full_grid_contract(ref, f.dt, dw, f.nt - 1))
     u_hat = np.zeros((f.nt, 1) + g.shape, dtype=complex)
-    u_hat[1:] = list(_full_grid_advance(prop, dw[:1]))
-    path = prop.to_space(u_hat)
+    u_hat[1:] = list(_full_grid_advance(ref, f.dt, dw[:1]))
+    path = spectral._inverse(g, u_hat)
     riesz = ps.fractional_multiplier(g, eta)
     sums = np.zeros(M)
-    for u in _full_grid_advance(prop, dw):
-        mag = np.abs(prop.to_space(riesz * u))
+    for u in _full_grid_advance(ref, f.dt, dw):
+        mag = np.abs(spectral._inverse(g, riesz * u))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     norm_f = ps.lp_space_time_norm(f, p)
     moment = [float(np.mean(norms)) / norm_f ** p,
               float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p]
     x = (g.n // 2,) * g.d
-    coeff = np.tensordot(_full_grid_slices(prop, f.nt - 1), _point_row(g, x), axes=g.d)
+    coeff = np.tensordot(_full_grid_slices(ref, f.dt, f.nt - 1), _point_row(g, x),
+                         axes=g.d)
     exact = float(np.sum(np.abs(coeff) ** 2) * spec.dt)
     sq = np.abs(ens[(slice(None),) + x]) ** 2
     iso = [abs(float(np.mean(sq)) - exact) / exact,

@@ -7,6 +7,8 @@ import pytest
 
 import paleyscope as ps
 
+from conftest import grid_arrays, two_piece_families
+
 
 @pytest.fixture()
 def grid():
@@ -92,35 +94,37 @@ class TestTransforms:
         v = rng.standard_normal((3, 2) + g.shape) + 0j
         f = ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v)
         prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5), f)
-        got = prop.ifft(prop.inverse_factor(0.3) * prop.fhat)
-        np.testing.assert_allclose(got, 0.3 * prop.to_space(prop.fhat),
+        fhat = prop.to_grid(prop.fhat)
+        got = prop.ifft(prop.inverse_factor(0.3) * fhat)
+        np.testing.assert_allclose(got, 0.3 * prop.to_space(fhat),
                                    rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(got, 0.3 * v, atol=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_support_columns_are_the_restricted_slices_and_steps(self, d):
-        # the step factors and cell weights formed on the support equal the
-        # grid's restricted afterwards, bit for bit
+        # fhat, the step factors and the cell weights, formed on the support
+        # only, are the grid's restricted afterwards, bit for bit
         g = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
-        sym = ps.FractionalSymbol(gamma=1.5, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
-                                  nu=0.5)
-        prop = ps.Propagator(sym, ps.corpus_entry(g, 12, 1, t_window=0.77))
-        keep, fhat, step, weight = prop.on_support
-        assert keep is prop.support and keep.size == (8 if d == 1 else 80)
-        np.testing.assert_array_equal(fhat, prop.fhat.reshape(12, 3, -1)[..., keep])
-        np.testing.assert_array_equal(step, prop.step.reshape(11, -1)[:, keep])
-        np.testing.assert_array_equal(weight, prop.weight.reshape(11, -1)[:, keep])
+        f = ps.corpus_entry(g, 12, 1, t_window=0.77)
+        for sym in two_piece_families(d):
+            prop = ps.Propagator(sym, f)
+            keep = prop.support
+            assert keep.size == (8 if d == 1 else 80)
+            ref = grid_arrays(sym, f)
+            np.testing.assert_array_equal(prop.fhat, ref.fhat.reshape(12, 3, -1)[..., keep])
+            np.testing.assert_array_equal(prop.step, ref.step.reshape(11, -1)[:, keep])
+            np.testing.assert_array_equal(prop.weight, ref.weight.reshape(11, -1)[:, keep])
 
     def test_full_support_columns_are_views(self):
+        # on the whole grid, columns and to_grid reshape without copying
         g = ps.SpaceGrid(d=2, n=8, L=7.0)
         v = np.random.default_rng(2).standard_normal((4, 2) + g.shape) + 0j
         prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5),
                              ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v))
-        keep, fhat, step, weight = prop.on_support
-        assert keep.size == 64
-        assert np.shares_memory(fhat, prop.fhat) and np.shares_memory(step, prop.step)
-        assert np.shares_memory(weight, prop.weight)
-        assert np.shares_memory(prop.to_grid(fhat), prop.fhat)
+        assert prop.support.size == 64
+        back = prop.to_grid(prop.fhat)
+        assert back.shape == v.shape and np.shares_memory(back, prop.fhat)
+        assert np.shares_memory(prop.columns(back), prop.fhat)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_to_grid_puts_the_columns_back(self, d):
@@ -128,13 +132,13 @@ class TestTransforms:
         g = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
         prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5),
                              ps.corpus_entry(g, 12, 1, t_window=0.77))
-        on_grid = prop.to_grid(prop.on_support[1])
-        assert on_grid.shape == prop.fhat.shape
+        back = prop.to_grid(prop.fhat)
+        assert back.shape == (12, 3) + g.shape
         off = np.ones(g.n ** d, dtype=bool)
         off[prop.support] = False
-        flat = on_grid.reshape(12, 3, -1)
+        flat = back.reshape(12, 3, -1)
         assert np.all(flat[..., off] == 0.0)
-        np.testing.assert_array_equal(prop.columns(on_grid), prop.on_support[1])
+        np.testing.assert_array_equal(prop.columns(back), prop.fhat)
 
 
 class TestMultipliers:

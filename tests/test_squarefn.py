@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import squarefn
+from paleyscope import spectral, squarefn
 
-from conftest import cell_weights, exp_decay, two_piece_families, with_out_of_band_mode
+from conftest import (
+    cell_weights,
+    exp_decay,
+    grid_arrays,
+    two_piece_families,
+    with_out_of_band_mode,
+)
 
 
 @pytest.fixture()
@@ -103,14 +109,14 @@ def _square_function_reference(sym, eta, f):
     the cell weights W_j from their per-sub-cell closed form, every (i, j)
     pair transformed on its own multiplier."""
     g = f.grid
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
     weight = cell_weights(sym, f.times(), g)
     out = np.zeros((f.nt,) + g.shape)
     for i in range(1, f.nt):
         # row j < i enters at t_{j+1}
-        mult = riesz * exp_decay(prop, i, i + 1)[1:] * np.sqrt(weight[:i])
-        amp = prop.to_space(mult[:, None, ...] * prop.fhat[:i])
+        mult = riesz * exp_decay(ref.integrals, i, i + 1)[1:] * np.sqrt(weight[:i])
+        amp = spectral._inverse(g, mult[:, None, ...] * ref.fhat[:i])
         out[i] = np.sqrt(np.sum(np.abs(amp) ** 2, axis=(0, 1)))
     return out
 
@@ -195,6 +201,19 @@ class TestSupportRoute:
         assert support.size == ps.Propagator(sym, f).support.size + 1
         _assert_routes_match_reference(sym, sym.order / 2, g)
 
+    def test_a_mode_that_fills_a_small_slice_enters_the_support(self, heat):
+        # each slice is its own FFT: mode 3 holds all of slices 1-7 at 1e-15
+        # of mode 5's slices 8-14, and must not be judged against them
+        grid = ps.SpaceGrid(d=1, n=32, L=10.0)
+        wave = lambda k: np.exp(2j * np.pi * k * grid.x_axis() / grid.L)
+        vals = np.zeros((16, 1, 32), complex)
+        vals[1:8, 0] = 1e-15 * wave(3)
+        vals[8:15, 0] = wave(5)
+        f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
+        assert list(ps.Propagator(heat, f).support) == [3, 5]
+        np.testing.assert_allclose(ps.square_function(heat, 1.0, f).values,
+                                   _square_function_reference(heat, 1.0, f), rtol=1e-12)
+
     def test_zero_field_has_empty_support(self, heat):
         grid = ps.SpaceGrid(d=1, n=16, L=12.0)
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.1,
@@ -270,14 +289,14 @@ def _grid_constant(sym, eta, grid, dt, nt):
     """
     f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=dt,
                           values=np.zeros((nt, 1) + grid.shape, complex))
-    prop = ps.Propagator(sym, f)
+    ref = grid_arrays(sym, f)
     riesz2 = ps.fractional_multiplier(grid, eta) ** 2
-    gain = np.abs(prop.step) ** 2
+    gain = np.abs(ref.step) ** 2
     R = np.ones(grid.shape)
-    worst = np.max(riesz2 * prop.weight[nt - 2])
+    worst = np.max(riesz2 * ref.weight[nt - 2])
     for j in range(nt - 3, -1, -1):
         R = 1.0 + gain[j + 1] * R
-        worst = max(worst, np.max(riesz2 * prop.weight[j] * R))
+        worst = max(worst, np.max(riesz2 * ref.weight[j] * R))
     return worst
 
 
