@@ -151,8 +151,8 @@ class SpaceTimeField:
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive")
         v = _check_values(self.grid, self.values)
-        if v.ndim != self.grid.d + 2:
-            raise ValueError("SpaceTimeField values need shape (nt, K_H) + grid.shape")
+        if v.ndim != self.grid.d + 2 or v.shape[0] < 1:
+            raise ValueError("SpaceTimeField values need shape (nt, K_H) + grid.shape, nt >= 1")
         object.__setattr__(self, "values", v)
 
     @property

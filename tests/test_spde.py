@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-
 from paleyscope import spectral
 
 from conftest import (

@@ -80,6 +80,10 @@ class TestTransforms:
         fh[3] = 0.0
         assert np.max(np.abs(fh)) < 1e-10
 
+    def test_spacetime_field_needs_a_slice(self, grid):
+        with pytest.raises(ValueError, match="nt >= 1"):
+            ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.1, values=np.zeros((0, 1, 64)))
+
     def test_spacetime_round_trip(self, grid):
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 1, 64)) + 0j
