@@ -120,29 +120,40 @@ class PathEnsemble:
 
 
 _rng = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)   # Philox counter and buffer at a fresh key
 
 
-def sample_brownian_increments(spec, path):
-    """Increment table dW[k, j] ~ N(0, dt), reproducible per (seed, path).
+def sample_brownian_increments(spec, path, out=None):
+    """Increment table dW[k, j] ~ N(0, dt), shape (K, nt), reproducible per
+    (seed, path).
 
     The bits are those of a fresh ``Generator(Philox(key=[seed, path]))``.
     Each thread holds one such generator and re-keys it, with counter and
     buffer reset, instead of constructing one per path: a constructor
     first draws OS entropy for a seed sequence that the key then replaces.
+    With ``out``, a C-contiguous float array of shape (K, nt), the table is
+    drawn into it and ``out`` is returned.
     """
+    shape = (spec.K, spec.nt)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, not {out.shape}")
     rng = getattr(_rng, "generator", None)
     if rng is None:
         rng = _rng.generator = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS,
                   "key": np.array([spec.seed, path], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng.standard_normal((spec.K, spec.nt)) * np.sqrt(spec.dt)
+    rng.standard_normal(out=out)
+    out *= np.sqrt(spec.dt)
+    return out
 
 
 def _check_paths(M):
@@ -198,23 +209,29 @@ def _increment_block(spec, M, base_path=0):
     """Stacked increment tables for paths base_path .. base_path + M - 1."""
     out = np.empty((M, spec.K, spec.nt))
     for m in range(M):
-        out[m] = sample_brownian_increments(spec, base_path + m)
+        sample_brownian_increments(spec, base_path + m, out=out[m])
     return out
 
 
 def simulate_ensemble(sym, f, spec, M, base_path=0):
     """Solution fields of M paths at the last grid time.
 
-    The increments of all paths are drawn as one block, which costs one
-    contraction on the support columns and one inverse transform.
+    The increments of all paths are drawn as one real block, which costs
+    one real GEMM against the float view of the convolved support columns
+    and one inverse transform in the buffer that holds the paths on the
+    grid.  The block is dropped before that transform.
     """
     _check_paths(M)
     _check_compatible(f, spec)
     prop = Propagator(sym, f)
+    # the slices in (K, nt, m) order as (K nt, 2m) floats, against (M, K nt)
+    conv = np.ascontiguousarray(_convolved_slices(prop).transpose(1, 0, 2))
+    conv = conv.reshape(spec.K * spec.nt, -1).view(float)
     dw = _increment_block(spec, M, base_path)
-    # the whole (M, K, nt) block against the zero-padded slices, uncopied
-    values = prop.to_space(prop.to_grid(
-        np.tensordot(dw, _convolved_slices(prop), axes=([1, 2], [1, 0]))))
+    u_hat = (dw.reshape(M, -1) @ conv).view(complex)
+    del dw
+    values = prop.to_grid(u_hat)
+    prop.to_space(values, out=values)
     return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
                         values=values, propagator=prop)
 
@@ -275,7 +292,8 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     without forming G at p = 2).  All M paths are advanced together by
     :func:`_advance` on the support columns, one time step at a time, from a
     single increment block; each step puts them on the grid
-    (``Propagator.to_grid``) for its one inverse transform.
+    (``Propagator.to_grid``) for its one inverse transform, and every step
+    reuses the same buffers for the scatter, the transform and |.|^p.
     """
     _check_paths(M)
     if p < 2:
@@ -291,10 +309,16 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     prop = Propagator(sym, f)
     riesz = prop.columns(fractional_multiplier(g, eta))
     dw = _increment_block(spec, M, base_path)
+    # reused by every step: one grid buffer for the scatter and the
+    # transform, one contiguous row per path for |.|^p
+    buf = np.empty((M,) + g.shape, dtype=complex)
+    mag = np.empty((M, g.n ** g.d))
     sums = np.zeros(M)
     for u_hat in _advance(prop.step, prop.held(1 / np.sqrt(prop.dt)), dw):
-        mag = np.abs(prop.to_space(prop.to_grid(riesz * u_hat)))
-        sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
+        prop.to_space(prop.to_grid(riesz * u_hat, out=buf), out=buf)
+        np.abs(buf.reshape(M, -1), out=mag)
+        mag **= p
+        sums += np.sum(mag, axis=1)
     norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p

@@ -294,6 +294,7 @@ class Propagator:
         times = f.times()
         self.step = _step_factors(sym.time_integral(f.t0, times, xi))
         self.weight = _cell_weights(sym, times, xi)
+        self._phase, self._axes, self._scale = g.phase(), _fft_axes(g.d), g.h ** g.d
 
     def held(self, scale):
         """sqrt(W_j) scale fhat_j, j = 0 .. nt - 2, as slice j enters at
@@ -312,24 +313,39 @@ class Propagator:
             return flat
         return flat[..., self.support]
 
-    def to_grid(self, columns):
+    def to_grid(self, columns, out=None):
         """Support columns, shape ``lead + (m,)``, as ``lead + grid.shape``.
 
         The inverse of :meth:`columns` for values that vanish off the
         support: the result is zero there, and a reshape when the support
-        is the whole grid.
+        is the whole grid.  With ``out``, a C-contiguous ``lead +
+        grid.shape`` array, the result is written there instead.
         """
         g = self.grid
         lead = columns.shape[:-1]
-        if self.support.size == g.n ** g.d:
-            return columns.reshape(lead + g.shape)
-        out = np.zeros(lead + (g.n ** g.d,), dtype=columns.dtype)
-        out[..., self.support] = columns
-        return out.reshape(lead + g.shape)
+        full = self.support.size == g.n ** g.d
+        if out is None:
+            if full:
+                return columns.reshape(lead + g.shape)
+            out = np.zeros(lead + g.shape, dtype=columns.dtype)
+        elif not full:
+            out[...] = 0
+        out.reshape(lead + (g.n ** g.d,))[..., self.support] = columns
+        return out
 
-    def to_space(self, values):
-        """Inverse transform of a frequency-side array over its grid axes."""
-        return _inverse(self.grid, values)
+    def to_space(self, values, out=None):
+        """Inverse transform of a frequency-side array over its grid axes.
+
+        It runs in one complex buffer, ``out`` when given (``values``
+        itself allowed), with the bits of :func:`to_space` and no
+        temporaries.
+        """
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        np.multiply(values, self._phase, out=out)
+        np.fft.ifftn(out, axes=self._axes, out=out)
+        out /= self._scale
+        return out
 
     def inverse_factor(self, scale=1.0):
         """The inverse transform's frequency-side factor phase * scale / h^d.
@@ -338,12 +354,12 @@ class Propagator:
         up to rounding, so a loop that transforms the same data many times
         can fold the factor into it once.
         """
-        g = self.grid
-        return g.phase() * (scale / g.h ** g.d)
+        return self._phase * (scale / self._scale)
 
-    def ifft(self, values):
-        """Raw inverse FFT over the grid axes, without phase or scale."""
-        return np.fft.ifftn(values, axes=_fft_axes(self.grid.d))
+    def ifft(self, values, out=None):
+        """Raw inverse FFT over the grid axes, without phase or scale, into
+        ``out`` when given."""
+        return np.fft.ifftn(values, axes=self._axes, out=out)
 
     def to_point(self, columns, x_index):
         """The inverse transform at the grid point ``x_index`` of support columns.

@@ -175,10 +175,15 @@ def _fft_route(prop, eta):
     amp = prop.to_grid(prop.held(prop.columns(factor)))
     step = prop.to_grid(prop.step)
     out = np.zeros((nt,) + prop.grid.shape)
+    work = np.empty_like(amp)   # step i transforms rows 0 .. i - 1 into work[:i]
     for i in range(1, nt):
         amp[:i - 1] *= step[i - 1]
-        space = prop.ifft(amp[:i])
-        out[i] = np.sqrt(np.sum(space.real ** 2 + space.imag ** 2, axis=(0, 1)))
+        space = prop.ifft(amp[:i], out=work[:i])
+        re, im = space.real, space.imag
+        re **= 2
+        im **= 2
+        re += im
+        out[i] = np.sqrt(np.sum(re, axis=(0, 1)))
     return out
 
 

@@ -1,12 +1,13 @@
 """Stochastic convolution: reproducible noise, isometry, moments, causality."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import spectral
+from paleyscope import spde, spectral
 
 from conftest import (
     cell_weights,
@@ -138,6 +139,14 @@ class TestNoise:
             for i, got in enumerate(drawn[parity]):
                 np.testing.assert_array_equal(got, _fresh_increments(spec, 2 * i + parity))
 
+    def test_out_receives_the_fresh_philox_draws(self, spec):
+        out = np.full((spec.K, spec.nt), np.nan)
+        assert ps.sample_brownian_increments(spec, 9, out=out) is out
+        np.testing.assert_array_equal(out, _fresh_increments(spec, 9))
+        for shape in [(spec.nt, spec.K), (spec.K, spec.nt + 1), (spec.K * spec.nt,)]:
+            with pytest.raises(ValueError):
+                ps.sample_brownian_increments(spec, 9, out=np.empty(shape))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ps.NoiseSpec(K=0, seed=1, dt=0.1, nt=8)
@@ -207,6 +216,44 @@ class TestSolution:
                 np.testing.assert_allclose(u, want, rtol=1e-12)
                 np.testing.assert_allclose(ens.values[m], want[-1, 0],
                                            rtol=1e-12)
+
+
+def _bench_sized():
+    """The bench heat config's corpus entry 1 and its noise: n = nt = 128,
+    K = 3, m = 8 support columns."""
+    grid = ps.SpaceGrid(d=1, n=128, L=20.0)
+    f = ps.corpus_entry(grid, 128, 1)
+    return f, ps.NoiseSpec(K=3, seed=1, dt=f.dt, nt=128)
+
+
+class TestEnsembleContraction:
+    def test_real_gemm_matches_the_complex_tensordot(self, heat):
+        # the real GEMM on the float view against the complex contraction of
+        # the same block and convolved slices, at the bench's M
+        f, spec = _bench_sized()
+        M, base_path = 4096, 7
+        ens = ps.simulate_ensemble(heat, f, spec, M, base_path=base_path)
+        prop = ens.propagator
+        u_hat = np.tensordot(_fresh_block(spec, M, base_path), spde._convolved_slices(prop),
+                             axes=([1, 2], [1, 0]))
+        want = spectral._inverse(f.grid, prop.to_grid(u_hat))
+        np.testing.assert_allclose(ens.values, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_traced_peak_is_within_the_block_and_the_grid(self, heat):
+        # a complex copy of the block alone is twice the block
+        f, spec = _bench_sized()
+        M = 1024
+        ps.simulate_ensemble(heat, f, spec, M)   # warm the thread's generator
+        tracemalloc.start()
+        try:
+            ps.simulate_ensemble(heat, f, spec, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = M * spec.K * spec.nt * 8
+        grid = M * f.grid.n * 16
+        assert peak <= 1.25 * (block + grid)
 
 
 class TestSecondMoment:
