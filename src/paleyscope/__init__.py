@@ -39,7 +39,6 @@ from .spde import (
     moment_bound_check,
     sample_brownian_increments,
     simulate_ensemble,
-    stochastic_convolution,
 )
 from .spectral import (
     Field,
@@ -96,7 +95,7 @@ __all__ = [
     "maximal_space", "maximal_time", "sharp_function", "verify_sharp_bound",
     "fefferman_stein_check",
     "NoiseSpec", "MomentEstimate", "PathEnsemble",
-    "sample_brownian_increments", "stochastic_convolution",
+    "sample_brownian_increments",
     "ito_isometry_check", "moment_bound_check", "simulate_ensemble",
     "gaussianity_diagnostic",
 ]

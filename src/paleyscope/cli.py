@@ -525,9 +525,6 @@ def _build_parser():
         description="Verification suites for evolution-kernel square functions.")
     parser.add_argument("suite", nargs="?", choices=SUITES + ("verify-assumptions",),
                         help="suite to run")
-    parser.add_argument("--suite", dest="suite_flag",
-                        choices=SUITES + ("verify-assumptions",),
-                        help="suite to run (alternative to the positional)")
     parser.add_argument("--config", help="experiment JSON path")
     parser.add_argument("--out", default=".", help="report output directory")
     parser.add_argument("--threads", type=int, default=None,
@@ -542,7 +539,7 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    suite = args.suite_flag or args.suite
+    suite = args.suite
     if suite is None:
         parser.print_usage(sys.stderr)
         return 2

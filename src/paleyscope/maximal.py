@@ -10,10 +10,9 @@ The sharp function measures mean oscillation over parabolic cylinders
 (s - R, s + R) x B(y, R^delta0): for every ladder radius the oscillation is
 computed at every cylinder center via separable means, then each point takes
 the sup over all cylinders containing it (a morphological dilation).  The
-default oscillation metric is the root mean square sqrt(E[g^2] - E[g]^2),
-computable from two mean tables; the mean absolute deviation variant is
-available as ``metric="l1"`` through a direct evaluation intended for small
-grids.
+oscillation is the root mean square sqrt(E[g^2] - E[g]^2), computable from
+two mean tables; it dominates the paper's mean absolute deviation
+E|g - E[g]| on every cylinder, so the sharp function bounds the paper's.
 
 :func:`verify_sharp_bound` is the one route for the paper's estimate
 (G f)^# <= N (M_t M_x |f|_H^2)^{1/2} followed by Fefferman-Stein
@@ -184,16 +183,11 @@ def _dilate(arr, grid, kt, ks):
     return maximum_filter(padded, footprint=box, mode="wrap")[:arr.shape[0]]
 
 
-def _sharp_core(arr, grid, dt, delta0, metric="l2"):
+def _sharp_core(arr, grid, dt, delta0):
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    r_ladder = _default_r_ladder(dt, arr.shape[0])
-    if metric not in ("l2", "l1"):
-        raise ValueError("metric must be 'l2' or 'l1'")
-    if metric == "l1":
-        return _sharp_l1_direct(arr, grid, dt, delta0, r_ladder)
     out = np.zeros_like(arr)
-    for R in r_ladder:
+    for R in _default_r_ladder(dt, arr.shape[0]):
         kt, ks = _cylinder_cells(grid, dt, R, delta0)
         e1 = _cylinder_means(arr, grid, kt, ks)
         e2 = _cylinder_means(arr ** 2, grid, kt, ks)
@@ -202,38 +196,14 @@ def _sharp_core(arr, grid, dt, delta0, metric="l2"):
     return out
 
 
-def _sharp_l1_direct(arr, grid, dt, delta0, r_ladder):
-    """Mean-absolute-deviation sharp function by explicit enumeration.
-
-    Quadratic in the grid size; meant for cross-checks on small grids.
-    """
-    nt = arr.shape[0]
-    n = grid.n
-    out = np.zeros_like(arr)
-    for R in r_ladder:
-        kt, ks = _cylinder_cells(grid, dt, R, delta0)
-        ball = _ball_mask(grid.d, ks)
-        offsets = np.argwhere(ball) - ks
-        for ci in range(nt):
-            t_lo, t_hi = max(ci - kt, 0), min(ci + kt, nt - 1)
-            for center in np.ndindex(*grid.shape):
-                cells = tuple(((offsets[:, a] + center[a]) % n)
-                              for a in range(grid.d))
-                patch = arr[(slice(t_lo, t_hi + 1),) + cells]
-                dev = np.mean(np.abs(patch - patch.mean()))
-                sl = (slice(t_lo, t_hi + 1),) + cells
-                out[sl] = np.maximum(out[sl], dev)
-    return out
-
-
-def sharp_function(g, delta0, metric="l2"):
+def sharp_function(g, delta0):
     """Parabolic sharp function of a :class:`~paleyscope.squarefn.SquareField`.
 
     For each radius R = dt * 2^j up to the window length the cylinder spans
     round(R/dt) time cells and round(R^delta0/h) space cells.  Constants
     map to zero.
     """
-    values = _sharp_core(g.values.astype(float), g.grid, g.dt, delta0, metric)
+    values = _sharp_core(g.values.astype(float), g.grid, g.dt, delta0)
     return replace(g, values=values)
 
 

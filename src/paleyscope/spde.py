@@ -22,7 +22,8 @@ cumulative symbol integrals, the solution mode amplitudes are
 Every factor comes from the step factors e_i = exp(I[i] - I[i-1]).  At the
 one time an ensemble reads, the sum is one contraction of the whole block of
 paths against their backward cumulative products e_{j+2} ... e_i.  When
-every time is needed, the same sum is carried forward by the recursion
+every time is needed, as for the moment check, the same sum is carried
+forward by the recursion
 
     u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k sqrt(W_{i-1} / dt) fhat^k(s_{i-1}) dW^k_{i-1}.
 
@@ -30,27 +31,17 @@ The ensemble routes run on the m columns of the forcing's spectral
 support, where the Propagator holds fhat, e and W, since u_hat vanishes
 wherever every fhat^k does; a block goes back to the grid
 (``Propagator.to_grid``), zero off the support, only for the inverse
-transform that reads space values.  The single path of
-:func:`stochastic_convolution` runs on the whole grid, from the same
-helpers, where u(t_i) reads slices j < i only, bit for bit.
+transform that reads space values.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    Propagator,
-    _cell_weights,
-    _step_factors,
-    cumulative_symbol_integrals,
-    fractional_multiplier,
-    to_frequency,
-    to_space,
-)
+from .spectral import Propagator, _inverse, fractional_multiplier
 from .squarefn import DegenerateFieldError, lp_ratio, lp_space_time_norm
 
 __all__ = [
@@ -58,7 +49,6 @@ __all__ = [
     "MomentEstimate",
     "PathEnsemble",
     "sample_brownian_increments",
-    "stochastic_convolution",
     "ito_isometry_check",
     "moment_bound_check",
     "simulate_ensemble",
@@ -201,8 +191,17 @@ def _advance(step, drive, dw):
         yield u
 
 
-def _default_point(grid):
-    return (grid.n // 2,) * grid.d
+def _point(grid, x_index):
+    """The grid point ``x_index``, a tuple of grid.d integers in [0, n), or
+    the centre (n/2, ..., n/2) when it is None."""
+    if x_index is None:
+        return (grid.n // 2,) * grid.d
+    point = x_index if isinstance(x_index, tuple) else ()
+    if len(point) != grid.d or not all(
+            isinstance(i, (int, np.integer)) and 0 <= i < grid.n for i in point):
+        raise ValueError(f"x_index must be a tuple of {grid.d} integers in "
+                         f"[0, {grid.n}), not {x_index!r}")
+    return point
 
 
 def _increment_block(spec, M, base_path=0):
@@ -231,31 +230,9 @@ def simulate_ensemble(sym, f, spec, M, base_path=0):
     u_hat = (dw.reshape(M, -1) @ conv).view(complex)
     del dw
     values = prop.to_grid(u_hat)
-    prop.to_space(values, out=values)
+    _inverse(f.grid, values, out=values)
     return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
                         values=values, propagator=prop)
-
-
-def stochastic_convolution(sym, f, spec, path):
-    """One solution path at every grid time, as a single-channel SpaceTimeField.
-
-    ``f`` holds the K deterministic forcing channels; causality makes
-    u(t_0) = 0 and u(t_i) depend only on increments with j < i.  One
-    :func:`_advance` pass records every time, at O(nt) steps per path.
-
-    The pass runs on every mode of the grid, from the Propagator's helpers:
-    the support reads all times, so a later slice that added a mode would
-    move earlier times by that mode's forward-FFT rounding.  On the grid
-    u(t_i) reads the forcing slices j < i only, bit for bit.
-    """
-    _check_compatible(f, spec)
-    fhat = to_frequency(f).values
-    step = _step_factors(cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt))
-    W = _cell_weights(sym, f.times(), f.grid.xi_grid())
-    drive = np.sqrt(W)[:, None] * fhat[:-1] * (1 / np.sqrt(f.dt))
-    u_hat = np.zeros((f.nt, 1) + f.grid.shape, dtype=complex)
-    u_hat[1:] = list(_advance(step, drive, _increment_block(spec, 1, path)))
-    return to_space(replace(f, values=u_hat, domain="freq"))
 
 
 def ito_isometry_check(ensemble, x_index=None):
@@ -269,7 +246,7 @@ def ito_isometry_check(ensemble, x_index=None):
     is a pure MC convergence measurement: |mean - exact| / exact, with the
     standard error of the mean (also relative to exact) alongside.
     """
-    x_index = tuple(_default_point(ensemble.grid) if x_index is None else x_index)
+    x_index = _point(ensemble.grid, x_index)
     prop = ensemble.propagator
     coeff = prop.to_point(_convolved_slices(prop), x_index)
     exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
@@ -315,7 +292,7 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
     mag = np.empty((M, g.n ** g.d))
     sums = np.zeros(M)
     for u_hat in _advance(prop.step, prop.held(1 / np.sqrt(prop.dt)), dw):
-        prop.to_space(prop.to_grid(riesz * u_hat, out=buf), out=buf)
+        _inverse(g, prop.to_grid(riesz * u_hat, out=buf), out=buf)
         np.abs(buf.reshape(M, -1), out=mag)
         mag **= p
         sums += np.sum(mag, axis=1)
@@ -328,9 +305,7 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
 
 def gaussianity_diagnostic(ensemble, x_index=None):
     """Excess kurtosis of Re u at one observation point across paths."""
-    if x_index is None:
-        x_index = _default_point(ensemble.grid)
-    samples = ensemble.values[(slice(None),) + tuple(x_index)].real
+    samples = ensemble.values[(slice(None),) + _point(ensemble.grid, x_index)].real
     centered = samples - samples.mean()
     m2 = float(np.mean(centered ** 2))
     if m2 == 0.0:

@@ -7,8 +7,9 @@ The discrete transform approximates the continuum Fourier integral:
 
 where the per-axis alternating phase accounts for the -L/2 grid offset (for
 even n the parity of the FFT bin equals the parity of the frequency index,
-so the offset phase is real +-1).  The inverse applies the same phase before
-``ifftn`` and divides by h^d.  With this normalization Parseval reads
+so the offset phase is real +-1).  The inverse multiplies by the one grid
+factor ``inverse_factor`` = phase / h^d before ``ifftn``.  With this
+normalization Parseval reads
 
     h^d sum |f|^2 = L^-d sum |fhat|^2.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +97,14 @@ class SpaceGrid:
         out = s
         for _ in range(self.d - 1):
             out = np.multiply.outer(out, s)
+        return out
+
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """phase / h^d, read-only: the inverse transform's one frequency-side
+        factor, which a loop that transforms many arrays folds into them once."""
+        out = self.phase() / self.h ** self.d
+        out.flags.writeable = False
         return out
 
 
@@ -180,17 +190,19 @@ def to_frequency(f):
     return replace(f, values=fhat, domain="freq")
 
 
-def _inverse(grid, values):
-    """Inverse transform of a frequency-side array over its last d axes."""
-    return np.fft.ifftn(grid.phase() * values, axes=_fft_axes(grid.d)) / grid.h ** grid.d
+def _inverse(grid, values, out=None):
+    """Inverse transform of a frequency-side array over its last d axes: one
+    multiply by ``grid.inverse_factor``, then ``ifftn``, both in the complex
+    buffer ``out`` when given (``values`` itself allowed)."""
+    out = np.multiply(values, grid.inverse_factor, out=out, dtype=complex)
+    return np.fft.ifftn(out, axes=_fft_axes(grid.d), out=out)
 
 
 def to_space(f):
     """Inverse transform; accepts Field or SpaceTimeField in frequency domain."""
     if f.domain != "freq":
         raise ValueError("to_space expects a frequency-domain field")
-    vals = _inverse(f.grid, np.asarray(f.values, dtype=complex))
-    return replace(f, values=vals, domain="space")
+    return replace(f, values=_inverse(f.grid, f.values), domain="space")
 
 
 def apply_multiplier(f, multiplier):
@@ -239,7 +251,9 @@ def cumulative_symbol_integrals(sym, grid, t0, dt, nt):
     """I[j] = int_{t0}^{t0 + j dt} psi(r, xi) dr on the grid, shape (nt,) + grid.shape.
 
     One symbol evaluation per time piece (``time_integral``), so the cost is
-    O(P * nt * n^d) multiply-adds and O(P * n^d) symbol evaluations.
+    O(P * nt * n^d) multiply-adds and O(P * n^d) symbol evaluations.  The
+    Propagator evaluates the integrals on its support only; this full-grid
+    table is the tests' reference for it.
     """
     if nt < 1:
         raise ValueError("nt must be at least 1")
@@ -294,7 +308,6 @@ class Propagator:
         times = f.times()
         self.step = _step_factors(sym.time_integral(f.t0, times, xi))
         self.weight = _cell_weights(sym, times, xi)
-        self._phase, self._axes, self._scale = g.phase(), _fft_axes(g.d), g.h ** g.d
 
     def held(self, scale):
         """sqrt(W_j) scale fhat_j, j = 0 .. nt - 2, as slice j enters at
@@ -333,34 +346,6 @@ class Propagator:
         out.reshape(lead + (g.n ** g.d,))[..., self.support] = columns
         return out
 
-    def to_space(self, values, out=None):
-        """Inverse transform of a frequency-side array over its grid axes.
-
-        It runs in one complex buffer, ``out`` when given (``values``
-        itself allowed), with the bits of :func:`to_space` and no
-        temporaries.
-        """
-        if out is None:
-            out = np.empty(values.shape, dtype=complex)
-        np.multiply(values, self._phase, out=out)
-        np.fft.ifftn(out, axes=self._axes, out=out)
-        out /= self._scale
-        return out
-
-    def inverse_factor(self, scale=1.0):
-        """The inverse transform's frequency-side factor phase * scale / h^d.
-
-        ``ifft(inverse_factor(c) * values)`` equals ``c * to_space(values)``
-        up to rounding, so a loop that transforms the same data many times
-        can fold the factor into it once.
-        """
-        return self._phase * (scale / self._scale)
-
-    def ifft(self, values, out=None):
-        """Raw inverse FFT over the grid axes, without phase or scale, into
-        ``out`` when given."""
-        return np.fft.ifftn(values, axes=self._axes, out=out)
-
     def to_point(self, columns, x_index):
         """The inverse transform at the grid point ``x_index`` of support columns.
 
@@ -375,7 +360,7 @@ class Propagator:
         row = 1.0
         for x in x_index:
             row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % g.n) / g.n))
-        row = g.phase() * row / (g.n * g.h) ** g.d
+        row = row * (g.inverse_factor / g.n ** g.d)
         return np.tensordot(columns, self.columns(row), axes=1)
 
 

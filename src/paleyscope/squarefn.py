@@ -26,6 +26,7 @@ from .spectral import (
     Propagator,
     SpaceGrid,
     SpaceTimeField,
+    _fft_axes,
     fractional_multiplier,
     to_frequency,
     to_space,
@@ -112,7 +113,8 @@ def square_function(sym, eta, f):
         a_j = sqrt(W_j) |xi|^eta phase h^-d fhat_j
 
     enters at t_{j+1} and is advanced by e_i from then on; it carries the
-    inverse transform's phase and scale (``inverse_factor``).  Two routes
+    inverse transform's factor phase h^-d (``grid.inverse_factor``), so
+    each route ends in a bare ``ifftn``.  Two routes
     sum the same squares:
 
     - On the propagator's ``support`` of m modes, the m x m covariance
@@ -150,7 +152,7 @@ def _support_route(prop, eta):
     size = g.n ** g.d
     nt = prop.fhat.shape[0]
     keep, e = prop.support, prop.step
-    a = prop.held(prop.columns(fractional_multiplier(g, eta) * prop.inverse_factor()))
+    a = prop.held(prop.columns(fractional_multiplier(g, eta) * g.inverse_factor))
     # difference frequency of each pair, one index per real and imaginary part
     modes = np.unravel_index(keep, g.shape)
     delta = np.ravel_multi_index([(ax[:, None] - ax[None, :]) % g.n for ax in modes],
@@ -163,22 +165,24 @@ def _support_route(prop, eta):
         carried += np.einsum("ka,kb->ab", a[i - 1], a[i - 1].conj())
         scattered[i] = np.bincount(slots, weights=carried.view(float).ravel(),
                                    minlength=2 * size)
-    sq = prop.ifft(scattered.view(complex).reshape((nt,) + g.shape)).real / size
+    sq = np.fft.ifftn(scattered.view(complex).reshape((nt,) + g.shape),
+                      axes=_fft_axes(g.d)).real / size
     return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _fft_route(prop, eta):
     """G f values by the carried FFT loop, one inverse transform per step,
     on the grid with the amplitude block and step rows zero off the support."""
+    g = prop.grid
     nt = prop.fhat.shape[0]
-    factor = fractional_multiplier(prop.grid, eta) * prop.inverse_factor()
+    factor = fractional_multiplier(g, eta) * g.inverse_factor
     amp = prop.to_grid(prop.held(prop.columns(factor)))
     step = prop.to_grid(prop.step)
-    out = np.zeros((nt,) + prop.grid.shape)
+    out = np.zeros((nt,) + g.shape)
     work = np.empty_like(amp)   # step i transforms rows 0 .. i - 1 into work[:i]
     for i in range(1, nt):
         amp[:i - 1] *= step[i - 1]
-        space = prop.ifft(amp[:i], out=work[:i])
+        space = np.fft.ifftn(amp[:i], axes=_fft_axes(g.d), out=work[:i])
         re, im = space.real, space.imag
         re **= 2
         im **= 2

@@ -81,7 +81,15 @@ def _point_row(grid, x_index):
     row = 1.0
     for x in x_index:
         row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % grid.n) / grid.n))
-    return grid.phase() * row / (grid.n * grid.h) ** grid.d
+    return row * (grid.inverse_factor / grid.n ** grid.d)
+
+
+def _path(sym, f, dw):
+    """u(t_i), i = 1 .. nt - 1, of the paths in ``dw`` by :func:`spde._advance`
+    on every mode of the grid, from the ``grid_arrays`` of ``(sym, f)``."""
+    ref = grid_arrays(sym, f)
+    u_hat = np.array(list(spde._advance(ref.step, _full_grid_drive(ref, f.dt), dw)))
+    return spectral._inverse(f.grid, u_hat)
 
 
 def _single_mode(grid, nt, mode=4):
@@ -157,65 +165,75 @@ class TestNoise:
 
 
 class TestSolution:
-    def test_starts_at_rest(self, grid, heat, forcing, spec):
-        u = ps.stochastic_convolution(heat, forcing, spec, path=0)
-        assert np.all(u.values[0] == 0.0)
-        assert u.values.shape == (32, 1, 64)
+    def test_starts_at_rest(self, heat, forcing, spec):
+        # u(t_0) = 0, so the first step is the drive of slice 0 alone
+        prop = ps.Propagator(heat, forcing)
+        drive = prop.held(1 / np.sqrt(prop.dt))
+        dw = _fresh_block(spec, 2, 0)
+        u = list(spde._advance(prop.step, drive, dw))
+        assert len(u) == spec.nt - 1
+        assert u[0].shape == (2, prop.support.size)
+        np.testing.assert_array_equal(u[0], np.tensordot(dw[:, :, 0], drive[0], axes=1))
 
     def test_channel_mismatch_rejected(self, grid, heat, forcing):
         bad = ps.NoiseSpec(K=2, seed=777, dt=forcing.dt, nt=32)
-        with pytest.raises(ValueError):
-            ps.stochastic_convolution(heat, forcing, bad, path=0)
+        with pytest.raises(ValueError, match="channel count"):
+            ps.simulate_ensemble(heat, forcing, bad, M=2)
+        with pytest.raises(ValueError, match="channel count"):
+            ps.moment_bound_check(heat, forcing, bad, M=2, p=4.0, derivative_order=1.0)
 
     def test_future_forcing_cannot_reach_the_present(self, grid, heat,
                                                      forcing, spec):
         # u(t_i) reads forcing slices j < i only: bit for bit up to t_10,
         # and the tampered slices reach every later time
-        u = ps.stochastic_convolution(heat, forcing, spec, path=0).values
+        dw = _fresh_block(spec, 1, 0)
+        u = _path(heat, forcing, dw)
         tampered = forcing.values.copy()
         tampered[10:] = 7.7 + 0.1j
         f2 = ps.SpaceTimeField(grid=grid, t0=forcing.t0, dt=forcing.dt,
                                values=tampered)
-        u2 = ps.stochastic_convolution(heat, f2, spec, path=0).values
-        np.testing.assert_array_equal(u[:11], u2[:11])
+        u2 = _path(heat, f2, dw)
+        # row i - 1 holds u(t_i)
+        np.testing.assert_array_equal(u[:10], u2[:10])
         for i in range(11, spec.nt):
-            assert not np.array_equal(u[i], u2[i])
+            assert not np.array_equal(u[i - 1], u2[i - 1])
 
     def test_ensemble_shape_and_base_path(self, grid, heat, forcing, spec):
         # path m of an ensemble is path base_path + m at the last time
         ens = ps.simulate_ensemble(heat, forcing, spec, M=3, base_path=5)
         assert ens.values.shape == (3, 64)
         for m in range(3):
-            solo = ps.stochastic_convolution(heat, forcing, spec, path=5 + m)
-            np.testing.assert_allclose(ens.values[m], solo.values[-1, 0],
-                                       atol=1e-12)
+            solo = ps.simulate_ensemble(heat, forcing, spec, M=2, base_path=5 + m)
+            np.testing.assert_allclose(ens.values[m], solo.values[0], atol=1e-12)
 
     def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid, heat,
                                                           forcing, spec):
         # u(t_i) = sum_{j<i} sum_k (K(t_i, s_{j+1}) sqrt(W_j / dt) * f^k(s_j))
         # dW_kj with every kernel tabulated from its own time integral: each
-        # path at every time, and the ensemble at the last; the two-piece
-        # symbol's breakpoint 0.5 falls inside a step
+        # path at every time by _advance on the Propagator's columns, and
+        # the ensemble at the last; the two-piece symbol's breakpoint 0.5
+        # falls inside a step
         two_piece = ps.FractionalSymbol(
             gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5)
         t = forcing.times()
         for sym in (heat, two_piece):
             ens = ps.simulate_ensemble(sym, forcing, spec, M=2, base_path=2)
+            prop = ens.propagator
             held = np.sqrt(cell_weights(sym, t, grid) / forcing.dt)
             for m in range(2):
-                u = ps.stochastic_convolution(sym, forcing, spec,
-                                              path=2 + m).values
                 dw = ps.sample_brownian_increments(spec, 2 + m)
-                want = np.zeros_like(u)
+                u_hat = list(spde._advance(prop.step, prop.held(1 / np.sqrt(prop.dt)),
+                                           dw[None]))
+                u = spectral._inverse(grid, prop.to_grid(np.array(u_hat)))[:, 0]
+                want = np.zeros((spec.nt,) + grid.shape, dtype=complex)
                 for i in range(1, spec.nt):
                     for j in range(i):
                         km = ps.kernel_hat(sym, t[j + 1], t[i], 0.0, grid) * held[j]
                         amp = ps.apply_multiplier(
                             ps.Field(grid, forcing.values[j]), km).values
-                        want[i, 0] += dw[:, j] @ amp
-                np.testing.assert_allclose(u, want, rtol=1e-12)
-                np.testing.assert_allclose(ens.values[m], want[-1, 0],
-                                           rtol=1e-12)
+                        want[i] += dw[:, j] @ amp
+                np.testing.assert_allclose(u, want[1:], rtol=1e-12)
+                np.testing.assert_allclose(ens.values[m], want[-1], rtol=1e-12)
 
 
 def _bench_sized():
@@ -437,21 +455,34 @@ class TestGaussianity:
             ps.gaussianity_diagnostic(ens)
 
 
+class TestObservationPoint:
+    def test_point_must_be_d_integers_on_the_grid(self, heat):
+        # a 1-tuple on a d = 2 ensemble would read a whole row of samples
+        g = ps.SpaceGrid(d=2, n=16, L=20.0)
+        f = ps.corpus_entry(g, 8, 1)
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=8)
+        ens = ps.simulate_ensemble(heat, f, spec, M=16)
+        for bad in [(3,), (3, 4, 5), (3, 16), (-1, 2), [3, 4], (3.0, 4)]:
+            with pytest.raises(ValueError, match="x_index"):
+                ps.ito_isometry_check(ens, x_index=bad)
+            with pytest.raises(ValueError, match="x_index"):
+                ps.gaussianity_diagnostic(ens, x_index=bad)
+        assert ps.gaussianity_diagnostic(ens, x_index=(np.int64(3), 4)) == \
+            ps.gaussianity_diagnostic(ens, x_index=(3, 4))
+        assert ps.ito_isometry_check(ens, x_index=(8, 8)) == ps.ito_isometry_check(ens)
+
+
 def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
     """The four public results by the full-grid references, from fresh draws.
 
-    Returns the ensemble values, path ``base_path`` at every time, the
-    moment check's (value, std_error) and the isometry check's (value,
-    std_error) at the default point, each formed as the public function
-    forms it but over every mode.
+    Returns the ensemble values, the moment check's (value, std_error) and
+    the isometry check's (value, std_error) at the default point, each
+    formed as the public function forms it but over every mode.
     """
     g = f.grid
     ref = grid_arrays(sym, f)
     dw = _fresh_block(spec, M, base_path)
     ens = spectral._inverse(g, _full_grid_contract(ref, f.dt, dw, f.nt - 1))
-    u_hat = np.zeros((f.nt, 1) + g.shape, dtype=complex)
-    u_hat[1:] = list(_full_grid_advance(ref, f.dt, dw[:1]))
-    path = spectral._inverse(g, u_hat)
     riesz = ps.fractional_multiplier(g, eta)
     sums = np.zeros(M)
     for u in _full_grid_advance(ref, f.dt, dw):
@@ -468,24 +499,22 @@ def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
     sq = np.abs(ens[(slice(None),) + x]) ** 2
     iso = [abs(float(np.mean(sq)) - exact) / exact,
            float(np.std(sq, ddof=1) / np.sqrt(M)) / exact]
-    return ens, path, moment, iso
+    return ens, moment, iso
 
 
 def _assert_support_matches_full_grid(sym, f, bit_for_bit=False):
-    """simulate_ensemble, stochastic_convolution, moment_bound_check and
-    ito_isometry_check against the full-grid references: rtol 1e-12 and
-    atol 1e-12 of the largest reference value, or equal bits.  The single
-    path runs on the whole grid, so it always matches bit for bit."""
+    """simulate_ensemble, moment_bound_check and ito_isometry_check against
+    the full-grid references: rtol 1e-12 and atol 1e-12 of the largest
+    reference value, or equal bits."""
     M, p, eta, base_path = 5, 4.0, 1.0, 3
     spec = ps.NoiseSpec(K=f.k_h, seed=11, dt=f.dt, nt=f.nt)
     ens = ps.simulate_ensemble(sym, f, spec, M, base_path=base_path)
     est = ps.moment_bound_check(sym, f, spec, M, p, eta, base_path=base_path)
     iso = ps.ito_isometry_check(ens)
-    got = [ens.values, ps.stochastic_convolution(sym, f, spec, base_path).values,
-           [est.value, est.std_error], [iso.value, iso.std_error]]
+    got = [ens.values, [est.value, est.std_error], [iso.value, iso.std_error]]
     want = _full_grid_checks(sym, f, spec, M, p, eta, base_path)
-    for name, a, b in zip(["ensemble", "path", "moment", "isometry"], got, want):
-        if bit_for_bit or name == "path":
+    for name, a, b in zip(["ensemble", "moment", "isometry"], got, want):
+        if bit_for_bit:
             np.testing.assert_array_equal(a, b, err_msg=name)
         else:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(),
@@ -534,8 +563,6 @@ class TestSupportColumns:
         assert ps.Propagator(heat, f).support.size == 0
         ens = ps.simulate_ensemble(heat, f, spec, M=3)
         assert ens.values.shape == (3, 16) and np.all(ens.values == 0.0)
-        u = ps.stochastic_convolution(heat, f, spec, path=0).values
-        assert u.shape == (6, 1, 16) and np.all(u == 0.0)
         est = ps.moment_bound_check(heat, f, spec, M=3, p=4.0, derivative_order=1.0)
         assert (est.value, est.std_error, est.majorant) == (0.0, 0.0, 0.0)
         with pytest.raises(ps.DegenerateFieldError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope import spectral
 
 from conftest import grid_arrays, two_piece_families
 
@@ -93,16 +94,21 @@ class TestTransforms:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_folded_inverse_factor_matches_to_space(self, d):
+        # a loop that folds grid.inverse_factor into its data and calls
+        # ifftn has the bits of to_space; _inverse also runs in place
         g = ps.SpaceGrid(d=d, n=16, L=7.0)
         rng = np.random.default_rng(9)
         v = rng.standard_normal((3, 2) + g.shape) + 0j
-        f = ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v)
-        prop = ps.Propagator(ps.FractionalSymbol(gamma=2.0, a=1.0, nu=0.5), f)
-        fhat = prop.to_grid(prop.fhat)
-        got = prop.ifft(prop.inverse_factor(0.3) * fhat)
-        np.testing.assert_allclose(got, 0.3 * prop.to_space(fhat),
-                                   rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(got, 0.3 * v, atol=1e-13)
+        fhat = ps.to_frequency(ps.SpaceTimeField(grid=g, t0=0.0, dt=0.1, values=v))
+        assert g.inverse_factor is g.inverse_factor
+        assert not g.inverse_factor.flags.writeable
+        np.testing.assert_array_equal(g.inverse_factor, g.phase() / g.h ** d)
+        got = np.fft.ifftn(fhat.values * g.inverse_factor, axes=tuple(range(-d, 0)))
+        np.testing.assert_array_equal(got, ps.to_space(fhat).values)
+        np.testing.assert_allclose(got, v, atol=1e-13)
+        buf = fhat.values.copy()
+        assert spectral._inverse(g, buf, out=buf) is buf
+        np.testing.assert_array_equal(buf, got)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_support_columns_are_the_restricted_slices_and_steps(self, d):
