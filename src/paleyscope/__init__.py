@@ -45,7 +45,6 @@ from .spectral import (
     Propagator,
     SpaceGrid,
     SpaceTimeField,
-    apply_multiplier,
     cumulative_symbol_integrals,
     dump_field,
     fractional_multiplier,
@@ -81,7 +80,7 @@ __all__ = [
     "FractionalSymbol", "PolyFormSymbol", "LevySymbol", "EllipticityReport",
     "check_ellipticity", "check_levy_cancellation",
     "SpaceGrid", "Field", "SpaceTimeField",
-    "to_frequency", "to_space", "apply_multiplier", "fractional_multiplier",
+    "to_frequency", "to_space", "fractional_multiplier",
     "kernel_hat", "cumulative_symbol_integrals", "Propagator",
     "dump_field", "load_field",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",

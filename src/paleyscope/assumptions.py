@@ -258,12 +258,6 @@ class EnvelopeFamily:
     gamma: float
 
 
-def _abs_inverse(grid, mult):
-    """|inverse transform| of a frequency multiplier as a one-channel Field."""
-    out = to_space(Field(grid, np.asarray(mult, dtype=complex)[None], domain="freq"))
-    return np.abs(out.values[0])
-
-
 def synthesize_envelopes(sym, gamma, grid, s, t):
     """Sample the three derivative envelopes of the rescaled kernel.
 
@@ -283,18 +277,18 @@ def synthesize_envelopes(sym, gamma, grid, s, t):
 
     f1 = np.zeros(grid.shape)
     for i in range(grid.d):
-        f1 += _abs_inverse(grid, xi[..., i] * base)
+        f1 += np.abs(to_space(grid, xi[..., i] * base))
     f2 = np.zeros(grid.shape)
     for i in range(grid.d):
         for j in range(grid.d):
-            f2 += _abs_inverse(grid, xi[..., i] * xi[..., j] * base)
+            f2 += np.abs(to_space(grid, xi[..., i] * xi[..., j] * base))
     f3 = np.zeros(grid.shape)
     mixed = (t - s) * psi_t * base
     for i in range(grid.d):
-        f3 += _abs_inverse(grid, xi[..., i] * mixed)
+        f3 += np.abs(to_space(grid, xi[..., i] * mixed))
 
     def wrap(arr):
-        return Field(grid, arr[None].astype(complex), domain="space")
+        return Field(grid, arr[None].astype(complex))
 
     return EnvelopeFamily(f1=wrap(f1), f2=wrap(f2), f3=wrap(f3),
                           m_values=m_values, s=float(s), t=float(t),

@@ -479,7 +479,7 @@ def _suite_kernel_dump(cfg, out_dir):
         raise ConfigError("kernel block requires s <= t")
     k = kernel_hat(_suite_symbol(cfg, "kernel-dump"), s, t, eta, cfg.grid)
     path = os.path.join(out_dir, "kernel.plsf")
-    dump_field(to_space(Field(cfg.grid, k[None], domain="freq")), path)
+    dump_field(Field(cfg.grid, to_space(cfg.grid, k[None])), path)
     # the largest modulus on an axis-n/2 mode relative to the largest overall
     mag = np.abs(k)
     edge = max(np.take(mag, cfg.grid.n // 2, axis=a).max() for a in range(cfg.grid.d))

@@ -83,7 +83,7 @@ def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
     # sin(pi) is not exactly zero in floats; the window ends must be
     vals[0] = 0.0
     vals[-1] = 0.0
-    return SpaceTimeField(grid=grid, t0=0.0, dt=dt, values=vals, domain="space")
+    return SpaceTimeField(grid=grid, t0=0.0, dt=dt, values=vals)
 
 
 def make_corpus(grid, nt, count=20, t_window=1.0, seed=DEFAULT_SEED):

@@ -130,7 +130,7 @@ def maximal_space(f):
     out = np.full_like(values, -np.inf)
     for means in _wrap_ball_means_nd(values, _space_radius_ladder(f.grid), f.grid.d):
         np.maximum(out, means, out=out)
-    return Field(f.grid, out, domain="space")
+    return Field(f.grid, out)
 
 
 def maximal_time(f):

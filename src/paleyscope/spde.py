@@ -8,9 +8,10 @@ discretized by holding f^k at f^k(s_j) on each cell [s_j, s_{j+1}): the
 cell adds a Gaussian of variance W_j (the propagator's ``weight``) per mode,
 drawn as sqrt(W_j / dt) dW^k_j, so E|D^eta u(t_i, x)|^2 is G f(t_i, x)^2 of
 :func:`~paleyscope.squarefn.square_function` at every grid point.
-Increments come from a counter-based generator keyed on (seed, path), so
-every path is reproducible in isolation and ensembles parallelize without
-shared state.  Each thread re-keys one ``Philox`` generator per path rather
+Increments come from a counter-based generator keyed on (seed, m) for
+path m, so every path is reproducible in isolation, an ensemble of M paths
+is the first M of any larger one, and ensembles parallelize without shared
+state.  Each thread re-keys one ``Philox`` generator per path rather
 than constructing one.
 
 All convolutions happen on the frequency side through the
@@ -31,7 +32,8 @@ The ensemble routes run on the m columns of the forcing's spectral
 support, where the Propagator holds fhat, e and W, since u_hat vanishes
 wherever every fhat^k does; a block goes back to the grid
 (``Propagator.to_grid``), zero off the support, only for the inverse
-transform that reads space values.
+transform (:func:`~paleyscope.spectral.to_space`, in place) that reads
+space values.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Propagator, _inverse, fractional_multiplier
-from .squarefn import DegenerateFieldError, lp_ratio, lp_space_time_norm
+from .spectral import Propagator, fractional_multiplier, to_space
+from .squarefn import DegenerateFieldError, _norm_G, lp_space_time_norm
 
 __all__ = [
     "NoiseSpec",
@@ -93,14 +95,13 @@ class PathEnsemble:
     """Solution samples u(t, .) of M paths at the last grid time.
 
     ``values`` has shape (M,) + grid.shape; path m was driven by the
-    increment stream keyed on (spec.seed, base_path + m).  ``propagator`` is
+    increment stream keyed on (spec.seed, m).  ``propagator`` is
     the forcing's :class:`Propagator` the paths came from.
     """
 
     spec: NoiseSpec
     grid: object
     t0: float
-    base_path: int
     values: np.ndarray
     propagator: Propagator = field(repr=False, compare=False)
 
@@ -204,15 +205,15 @@ def _point(grid, x_index):
     return point
 
 
-def _increment_block(spec, M, base_path=0):
-    """Stacked increment tables for paths base_path .. base_path + M - 1."""
+def _increment_block(spec, M):
+    """Stacked increment tables for paths 0 .. M - 1."""
     out = np.empty((M, spec.K, spec.nt))
     for m in range(M):
-        sample_brownian_increments(spec, base_path + m, out=out[m])
+        sample_brownian_increments(spec, m, out=out[m])
     return out
 
 
-def simulate_ensemble(sym, f, spec, M, base_path=0):
+def simulate_ensemble(sym, f, spec, M):
     """Solution fields of M paths at the last grid time.
 
     The increments of all paths are drawn as one real block, which costs
@@ -226,13 +227,13 @@ def simulate_ensemble(sym, f, spec, M, base_path=0):
     # the slices in (K, nt, m) order as (K nt, 2m) floats, against (M, K nt)
     conv = np.ascontiguousarray(_convolved_slices(prop).transpose(1, 0, 2))
     conv = conv.reshape(spec.K * spec.nt, -1).view(float)
-    dw = _increment_block(spec, M, base_path)
+    dw = _increment_block(spec, M)
     u_hat = (dw.reshape(M, -1) @ conv).view(complex)
     del dw
     values = prop.to_grid(u_hat)
-    _inverse(f.grid, values, out=values)
-    return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, base_path=base_path,
-                        values=values, propagator=prop)
+    to_space(f.grid, values, out=values)
+    return PathEnsemble(spec=spec, grid=f.grid, t0=f.t0, values=values,
+                        propagator=prop)
 
 
 def ito_isometry_check(ensemble, x_index=None):
@@ -259,18 +260,19 @@ def ito_isometry_check(ensemble, x_index=None):
                           std_error=std_err / exact, M=ensemble.M)
 
 
-def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
+def moment_bound_check(sym, f, spec, M, p, derivative_order):
     """MC p-th moment of the derivative's space-time norm against ||f||_p^p.
 
     ``value`` is E ||D^eta u||_p^p / || |f| ||_p^p with eta the requested
     derivative order (applied as the Riesz multiplier |xi|^eta); ``majorant``
     reports the deterministic square-function pathway (||G f||_p/||f||_p)^p
-    with the same eta, from :func:`~paleyscope.squarefn.lp_ratio` (so
-    without forming G at p = 2).  All M paths are advanced together by
-    :func:`_advance` on the support columns, one time step at a time, from a
-    single increment block; each step puts them on the grid
-    (``Propagator.to_grid``) for its one inverse transform, and every step
-    reuses the same buffers for the scatter, the transform and |.|^p.
+    with the same eta, as :func:`~paleyscope.squarefn.lp_ratio` forms it
+    (without G at p = 2), from the propagator the paths use.  All M paths
+    are advanced together by :func:`_advance` on the support columns, one
+    time step at a time, from a single increment block; each step puts
+    them on the grid (``Propagator.to_grid``) for its one inverse
+    transform, and every step reuses the same buffers for the scatter, the
+    transform and |.|^p.
     """
     _check_paths(M)
     if p < 2:
@@ -285,21 +287,21 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order, base_path=0):
         return MomentEstimate(value=0.0, std_error=0.0, M=M, majorant=0.0)
     prop = Propagator(sym, f)
     riesz = prop.columns(fractional_multiplier(g, eta))
-    dw = _increment_block(spec, M, base_path)
+    dw = _increment_block(spec, M)
     # reused by every step: one grid buffer for the scatter and the
     # transform, one contiguous row per path for |.|^p
     buf = np.empty((M,) + g.shape, dtype=complex)
     mag = np.empty((M, g.n ** g.d))
     sums = np.zeros(M)
     for u_hat in _advance(prop.step, prop.held(1 / np.sqrt(prop.dt)), dw):
-        _inverse(g, prop.to_grid(riesz * u_hat, out=buf), out=buf)
+        to_space(g, prop.to_grid(riesz * u_hat, out=buf), out=buf)
         np.abs(buf.reshape(M, -1), out=mag)
         mag **= p
         sums += np.sum(mag, axis=1)
     norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p
-    majorant = lp_ratio(sym, eta, f, p).ratio ** p
+    majorant = (_norm_G(prop, eta, p) / norm_f) ** p
     return MomentEstimate(value=value, std_error=std_err, M=M, majorant=majorant)
 
 

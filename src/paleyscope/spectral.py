@@ -7,9 +7,10 @@ The discrete transform approximates the continuum Fourier integral:
 
 where the per-axis alternating phase accounts for the -L/2 grid offset (for
 even n the parity of the FFT bin equals the parity of the frequency index,
-so the offset phase is real +-1).  The inverse multiplies by the one grid
-factor ``inverse_factor`` = phase / h^d before ``ifftn``.  With this
-normalization Parseval reads
+so the offset phase is real +-1).  Frequency-side data are bare arrays:
+:func:`to_frequency` returns one, and :func:`to_space`, the one inverse
+transform, multiplies by the grid factor ``inverse_factor`` = phase / h^d
+before ``ifftn``.  With this normalization Parseval reads
 
     h^d sum |f|^2 = L^-d sum |fhat|^2.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "SpaceTimeField",
     "to_frequency",
     "to_space",
-    "apply_multiplier",
     "fractional_multiplier",
     "kernel_hat",
     "cumulative_symbol_integrals",
@@ -118,7 +118,7 @@ def _check_values(grid, values):
 
 @dataclass(frozen=True)
 class Field:
-    """A multichannel spatial field, in space or frequency representation.
+    """A multichannel spatial field.
 
     ``values`` has shape ``(K_H,) + grid.shape``; channels model the
     Hilbert-space components of vector-valued data.
@@ -126,11 +126,8 @@ class Field:
 
     grid: SpaceGrid
     values: np.ndarray
-    domain: str = "space"
 
     def __post_init__(self):
-        if self.domain not in ("space", "freq"):
-            raise ValueError("domain must be 'space' or 'freq'")
         v = _check_values(self.grid, self.values)
         if v.ndim != self.grid.d + 1:
             raise ValueError("Field values need shape (K_H,) + grid.shape")
@@ -153,11 +150,10 @@ class SpaceTimeField:
     t0: float
     dt: float
     values: np.ndarray
-    domain: str = "space"
 
     def __post_init__(self):
-        if self.domain not in ("space", "freq"):
-            raise ValueError("domain must be 'space' or 'freq'")
+        if not np.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be positive")
         v = _check_values(self.grid, self.values)
@@ -182,41 +178,18 @@ def _fft_axes(d):
 
 
 def to_frequency(f):
-    """Forward transform; accepts Field or SpaceTimeField in space domain."""
-    if f.domain != "space":
-        raise ValueError("to_frequency expects a space-domain field")
+    """Forward transform of a Field or SpaceTimeField over its grid axes:
+    the array h^d phase fftn(f.values)."""
     g = f.grid
-    fhat = g.h ** g.d * g.phase() * np.fft.fftn(f.values, axes=_fft_axes(g.d))
-    return replace(f, values=fhat, domain="freq")
+    return g.h ** g.d * g.phase() * np.fft.fftn(f.values, axes=_fft_axes(g.d))
 
 
-def _inverse(grid, values, out=None):
+def to_space(grid, values, out=None):
     """Inverse transform of a frequency-side array over its last d axes: one
     multiply by ``grid.inverse_factor``, then ``ifftn``, both in the complex
     buffer ``out`` when given (``values`` itself allowed)."""
     out = np.multiply(values, grid.inverse_factor, out=out, dtype=complex)
     return np.fft.ifftn(out, axes=_fft_axes(grid.d), out=out)
-
-
-def to_space(f):
-    """Inverse transform; accepts Field or SpaceTimeField in frequency domain."""
-    if f.domain != "freq":
-        raise ValueError("to_space expects a frequency-domain field")
-    return replace(f, values=_inverse(f.grid, f.values), domain="space")
-
-
-def apply_multiplier(f, multiplier):
-    """Apply a frequency multiplier to a space-domain field, returning space domain.
-
-    ``multiplier`` is an array over the grid shape, broadcast over channels.
-    """
-    multiplier = np.asarray(multiplier)
-    if multiplier.shape != f.grid.shape:
-        raise ValueError(f"multiplier must have grid shape {f.grid.shape}")
-    if f.domain != "space":
-        raise ValueError("apply_multiplier expects a space-domain field")
-    fhat = to_frequency(f)
-    return to_space(replace(fhat, values=fhat.values * multiplier))
 
 
 def fractional_multiplier(grid, eta):
@@ -299,7 +272,7 @@ class Propagator:
     def __init__(self, sym, f):
         g = self.grid = f.grid
         self.dt = f.dt
-        fhat = to_frequency(f).values
+        fhat = to_frequency(f)
         mag = np.abs(fhat).reshape(f.nt, f.k_h, -1)
         keep = mag > 64 * np.finfo(float).eps * mag.max(axis=-1, keepdims=True)
         self.support = np.flatnonzero(keep.any(axis=(0, 1)))
@@ -383,14 +356,12 @@ def _atomic_write(path, data):
 
 
 def dump_field(f, path):
-    """Write a space-domain Field as PLSF: 32-byte header + complex64 payload.
+    """Write a Field as PLSF: 32-byte header + complex64 payload.
 
     Header fields are little-endian: magic ``PLSF``, uint32 d, n, K_H, then
     float64 L, zero-padded to 32 bytes.  The payload is the channel-outermost
     row-major array cast to complex64.  The file is written atomically.
     """
-    if f.domain != "space":
-        raise ValueError("dump_field writes space-domain fields only")
     g = f.grid
     header = _HEADER.pack(_MAGIC, g.d, g.n, f.k_h, g.L)
     header += b"\x00" * (_HEADER_LEN - len(header))
@@ -398,7 +369,7 @@ def dump_field(f, path):
 
 
 def load_field(path):
-    """Read a PLSF file back into a space-domain Field (complex64 payload).
+    """Read a PLSF file back into a Field (complex64 payload).
 
     Raises ValueError unless the file is exactly one header with zero
     padding followed by the payload its header announces.
@@ -419,5 +390,5 @@ def load_field(path):
         raise ValueError(f"PLSF payload {kind}: {size} bytes, header announces {want}")
     vals = np.frombuffer(raw[_HEADER_LEN:], dtype=np.complex64, count=count)
     vals = vals.reshape((k_h,) + grid.shape).astype(complex)
-    return Field(grid, vals, domain="space")
+    return Field(grid, vals)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (
-    Field,
     Propagator,
     SpaceGrid,
     SpaceTimeField,
@@ -95,8 +94,8 @@ def square_function(sym, eta, f):
     eta : float
         Fractional-derivative order applied inside the kernel, eta >= 0.
     f : SpaceTimeField
-        Space-domain input, compactly supported in its window (the first
-        slice is the lower integration limit).
+        Compactly supported in its window (the first slice is the lower
+        integration limit).
 
     Returns
     -------
@@ -129,11 +128,16 @@ def square_function(sym, eta, f):
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    g = f.grid
-    prop = Propagator(sym, f)
+    return SquareField(grid=f.grid, t0=f.t0, dt=f.dt,
+                       values=_square_values(Propagator(sym, f), eta))
+
+
+def _square_values(prop, eta):
+    """G f values from the propagator of f, by the route its support size picks."""
+    g = prop.grid
     m = prop.support.size
-    route = _support_route if m * m <= f.nt * g.n ** g.d else _fft_route
-    return SquareField(grid=g, t0=f.t0, dt=f.dt, values=route(prop, eta))
+    route = _support_route if m * m <= prop.fhat.shape[0] * g.n ** g.d else _fft_route
+    return route(prop, eta)
 
 
 def _support_route(prop, eta):
@@ -206,17 +210,22 @@ def square_function_l2(sym, eta, f):
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    g = f.grid
-    prop = Propagator(sym, f)
+    return _l2(Propagator(sym, f), eta)
+
+
+def _l2(prop, eta):
+    """||G f||_2 from the propagator of f: the Parseval sum of
+    :func:`square_function_l2`."""
+    g = prop.grid
     q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
     gain = np.abs(prop.step) ** 2
     B = np.zeros(q.shape[1:])
     total = np.zeros(q.shape[1:])
-    for i in range(1, f.nt):
+    for i in range(1, q.shape[0]):
         B = gain[i - 1] * B + prop.weight[i - 1] * q[i - 1]
         total += B
     riesz = prop.columns(fractional_multiplier(g, eta))
-    return float(np.sqrt(f.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
+    return float(np.sqrt(prop.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
 
 
 def _lp_nd(values, h_d, dt, p):
@@ -242,6 +251,15 @@ def lp_space_time_norm(g, p):
     return _lp_nd(mag, grid.h ** grid.d, dt, p)
 
 
+def _norm_G(prop, eta, p):
+    """||G f||_p from the propagator of f: by :func:`_l2` at p = 2, else from
+    G formed and checked as a SquareField (its t0 does not enter the norm)."""
+    if p == 2:
+        return _l2(prop, eta)
+    G = SquareField(grid=prop.grid, t0=0.0, dt=prop.dt, values=_square_values(prop, eta))
+    return lp_space_time_norm(G, p)
+
+
 def lp_ratio(sym, eta, f, p):
     """Empirical ratio ||G f||_p / || |f|_H ||_p as an LpReport.
 
@@ -252,10 +270,9 @@ def lp_ratio(sym, eta, f, p):
     norm_f = lp_space_time_norm(f, p)
     if norm_f == 0.0:
         raise DegenerateFieldError("input field has zero norm")
-    if p == 2:
-        norm_G = square_function_l2(sym, eta, f)
-    else:
-        norm_G = lp_space_time_norm(square_function(sym, eta, f), p)
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    norm_G = _norm_G(Propagator(sym, f), eta, p)
     g = f.grid
     return LpReport(p=float(p), norm_G=norm_G, norm_f=norm_f,
                     ratio=norm_G / norm_f, d=g.d, n=g.n, L=g.L,
@@ -297,9 +314,7 @@ def elliptic_square_function(f, gamma, p):
     g = f.grid
     fhat = to_frequency(f)
     mask = g.abs_xi() > 0
-    f0hat = Field(g, fhat.values * mask, domain="freq")
-    f0 = to_space(f0hat)
-    mag0 = np.sqrt(np.sum(np.abs(f0.values) ** 2, axis=0))
+    mag0 = np.sqrt(np.sum(np.abs(to_space(g, fhat * mask)) ** 2, axis=0))
     norm_f = float((np.sum(mag0 ** p) * g.h ** g.d) ** (1.0 / p))
     if norm_f == 0.0:
         raise DegenerateFieldError("field is constant; nothing to measure")
@@ -319,7 +334,7 @@ def elliptic_square_function(f, gamma, p):
         Gsq = np.zeros(g.shape)
         for t, w in zip(nodes, weights):
             mult = riesz * np.exp(-t * rate) * mask
-            amp = to_space(Field(g, fhat.values * mult, domain="freq")).values
+            amp = to_space(g, fhat * mult)
             Gsq += w * np.sum(np.abs(amp) ** 2, axis=0)
         Gmag = np.sqrt(Gsq)
         norm_G = float((np.sum(Gmag ** p) * g.h ** g.d) ** (1.0 / p))
@@ -346,8 +361,7 @@ def scaling_check(sym, f, c):
     g = f.grid
     G1 = square_function(sym, eta, f)
     g2 = SpaceGrid(d=g.d, n=g.n, L=g.L / c)
-    f2 = SpaceTimeField(grid=g2, t0=f.t0 / c ** gamma, dt=f.dt / c ** gamma,
-                        values=f.values, domain="space")
+    f2 = SpaceTimeField(grid=g2, t0=f.t0 / c ** gamma, dt=f.dt / c ** gamma, values=f.values)
     G2 = square_function(sym, eta, f2)
     ref = float(np.max(np.abs(G1.values)))
     if ref == 0.0:

@@ -73,7 +73,7 @@ def grid_arrays(sym, f):
     grid.shape``; and the step factors and cell weights, ``(nt - 1,) +
     grid.shape``."""
     integrals = ps.cumulative_symbol_integrals(sym, f.grid, f.t0, f.dt, f.nt)
-    return GridArrays(ps.to_frequency(f).values, integrals,
+    return GridArrays(ps.to_frequency(f), integrals,
                       spectral._step_factors(integrals),
                       spectral._cell_weights(sym, f.times(), f.grid.xi_grid()))
 
@@ -105,10 +105,10 @@ def two_piece_families(d):
 def with_out_of_band_mode(f, mode):
     """``f`` plus flat mode ``mode`` on channel 1 of the inner slices, at
     1e-3 of the peak |fhat|: a mode outside the corpus band."""
-    fhat = ps.to_frequency(f).values.reshape(f.nt, f.k_h, -1)
+    fhat = ps.to_frequency(f).reshape(f.nt, f.k_h, -1)
     fhat[1:-1, 1, mode] = 1e-3 * np.abs(fhat).max()
-    return ps.to_space(ps.SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt, domain="freq",
-                                         values=fhat.reshape(f.values.shape)))
+    return ps.SpaceTimeField(grid=f.grid, t0=f.t0, dt=f.dt,
+                             values=ps.to_space(f.grid, fhat.reshape(f.values.shape)))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import spde, spectral
+from paleyscope import spde
 
 from conftest import (
     cell_weights,
@@ -40,8 +40,8 @@ def _fresh_increments(spec, path):
     return rng.standard_normal((spec.K, spec.nt)) * np.sqrt(spec.dt)
 
 
-def _fresh_block(spec, M, base_path):
-    return np.stack([_fresh_increments(spec, base_path + m) for m in range(M)])
+def _fresh_block(spec, M):
+    return np.stack([_fresh_increments(spec, m) for m in range(M)])
 
 
 def _full_grid_drive(ref, dt):
@@ -89,7 +89,7 @@ def _path(sym, f, dw):
     on every mode of the grid, from the ``grid_arrays`` of ``(sym, f)``."""
     ref = grid_arrays(sym, f)
     u_hat = np.array(list(spde._advance(ref.step, _full_grid_drive(ref, f.dt), dw)))
-    return spectral._inverse(f.grid, u_hat)
+    return ps.to_space(f.grid, u_hat)
 
 
 def _single_mode(grid, nt, mode=4):
@@ -169,7 +169,7 @@ class TestSolution:
         # u(t_0) = 0, so the first step is the drive of slice 0 alone
         prop = ps.Propagator(heat, forcing)
         drive = prop.held(1 / np.sqrt(prop.dt))
-        dw = _fresh_block(spec, 2, 0)
+        dw = _fresh_block(spec, 2)
         u = list(spde._advance(prop.step, drive, dw))
         assert len(u) == spec.nt - 1
         assert u[0].shape == (2, prop.support.size)
@@ -186,7 +186,7 @@ class TestSolution:
                                                      forcing, spec):
         # u(t_i) reads forcing slices j < i only: bit for bit up to t_10,
         # and the tampered slices reach every later time
-        dw = _fresh_block(spec, 1, 0)
+        dw = _fresh_block(spec, 1)
         u = _path(heat, forcing, dw)
         tampered = forcing.values.copy()
         tampered[10:] = 7.7 + 0.1j
@@ -198,13 +198,13 @@ class TestSolution:
         for i in range(11, spec.nt):
             assert not np.array_equal(u[i - 1], u2[i - 1])
 
-    def test_ensemble_shape_and_base_path(self, grid, heat, forcing, spec):
-        # path m of an ensemble is path base_path + m at the last time
-        ens = ps.simulate_ensemble(heat, forcing, spec, M=3, base_path=5)
+    def test_enlarging_M_extends_the_ensemble(self, grid, heat, forcing, spec):
+        # path m is keyed (seed, m): row m of a 3-path ensemble is row m of
+        # a 5-path one
+        ens = ps.simulate_ensemble(heat, forcing, spec, M=3)
         assert ens.values.shape == (3, 64)
-        for m in range(3):
-            solo = ps.simulate_ensemble(heat, forcing, spec, M=2, base_path=5 + m)
-            np.testing.assert_allclose(ens.values[m], solo.values[0], atol=1e-12)
+        wide = ps.simulate_ensemble(heat, forcing, spec, M=5)
+        np.testing.assert_allclose(ens.values, wide.values[:3], atol=1e-12)
 
     def test_ensemble_matches_slice_by_slice_kernel_oracle(self, grid, heat,
                                                           forcing, spec):
@@ -217,20 +217,20 @@ class TestSolution:
             gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5)
         t = forcing.times()
         for sym in (heat, two_piece):
-            ens = ps.simulate_ensemble(sym, forcing, spec, M=2, base_path=2)
+            ens = ps.simulate_ensemble(sym, forcing, spec, M=2)
             prop = ens.propagator
             held = np.sqrt(cell_weights(sym, t, grid) / forcing.dt)
             for m in range(2):
-                dw = ps.sample_brownian_increments(spec, 2 + m)
+                dw = ps.sample_brownian_increments(spec, m)
                 u_hat = list(spde._advance(prop.step, prop.held(1 / np.sqrt(prop.dt)),
                                            dw[None]))
-                u = spectral._inverse(grid, prop.to_grid(np.array(u_hat)))[:, 0]
+                u = ps.to_space(grid, prop.to_grid(np.array(u_hat)))[:, 0]
                 want = np.zeros((spec.nt,) + grid.shape, dtype=complex)
                 for i in range(1, spec.nt):
                     for j in range(i):
                         km = ps.kernel_hat(sym, t[j + 1], t[i], 0.0, grid) * held[j]
-                        amp = ps.apply_multiplier(
-                            ps.Field(grid, forcing.values[j]), km).values
+                        amp = ps.to_space(
+                            grid, ps.to_frequency(ps.Field(grid, forcing.values[j])) * km)
                         want[i] += dw[:, j] @ amp
                 np.testing.assert_allclose(u, want[1:], rtol=1e-12)
                 np.testing.assert_allclose(ens.values[m], want[-1], rtol=1e-12)
@@ -249,12 +249,12 @@ class TestEnsembleContraction:
         # the real GEMM on the float view against the complex contraction of
         # the same block and convolved slices, at the bench's M
         f, spec = _bench_sized()
-        M, base_path = 4096, 7
-        ens = ps.simulate_ensemble(heat, f, spec, M, base_path=base_path)
+        M = 4096
+        ens = ps.simulate_ensemble(heat, f, spec, M)
         prop = ens.propagator
-        u_hat = np.tensordot(_fresh_block(spec, M, base_path), spde._convolved_slices(prop),
+        u_hat = np.tensordot(_fresh_block(spec, M), spde._convolved_slices(prop),
                              axes=([1, 2], [1, 0]))
-        want = spectral._inverse(f.grid, prop.to_grid(u_hat))
+        want = ps.to_space(f.grid, prop.to_grid(u_hat))
         np.testing.assert_allclose(ens.values, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -308,7 +308,7 @@ class TestSecondMoment:
         spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=10)
         ens = ps.simulate_ensemble(heat, f, spec, M=64)
         x = (g.n // 2,) * d if x_index is None else x_index
-        coeff = spectral._inverse(g, _full_grid_slices(grid_arrays(heat, f), f.dt, 9))[
+        coeff = ps.to_space(g, _full_grid_slices(grid_arrays(heat, f), f.dt, 9))[
             (slice(None), slice(None)) + x]
         exact = np.sum(np.abs(coeff) ** 2) * spec.dt
         sq = np.abs(ens.values[(slice(None),) + x]) ** 2
@@ -345,7 +345,7 @@ class TestSecondMoment:
             ps.ito_isometry_check(ps.simulate_ensemble(heat, f, spec, M=16))
 
 
-def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
+def _moment_path_by_path(sym, f, spec, M, p, eta):
     """Reference route: every path convolved on its own, O(nt^2) per path."""
     g = f.grid
     ref = grid_arrays(sym, f)
@@ -353,27 +353,27 @@ def _moment_path_by_path(sym, f, spec, M, p, eta, base_path):
     held = np.sqrt(cell_weights(sym, f.times(), g) / f.dt)
     norms = np.empty(M)
     for m in range(M):
-        dW = ps.sample_brownian_increments(spec, base_path + m)
+        dW = ps.sample_brownian_increments(spec, m)
         z = held * np.einsum("jk...,kj->j...", ref.fhat[:-1], dW[:, :-1])
         uhat = np.zeros((f.nt,) + g.shape, dtype=complex)
         for i in range(1, f.nt):
             uhat[i] = np.sum(exp_decay(ref.integrals, i, i + 1)[1:] * z[:i], axis=0)
-        mag = np.abs(spectral._inverse(g, riesz * uhat))
+        mag = np.abs(ps.to_space(g, riesz * uhat))
         norms[m] = np.sum(mag ** p) * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
     return np.mean(norms) / scale, np.std(norms, ddof=1) / np.sqrt(M) / scale
 
 
-def _moment_by_contraction(sym, f, spec, M, p, eta, base_path):
+def _moment_by_contraction(sym, f, spec, M, p, eta):
     """Reference route: every time step contracted from scratch over the
     whole grid."""
     g = f.grid
     ref = grid_arrays(sym, f)
     riesz = ps.fractional_multiplier(g, eta)
-    dw = _fresh_block(spec, M, base_path)
+    dw = _fresh_block(spec, M)
     sums = np.zeros(M)
     for i in range(1, f.nt):
-        mag = np.abs(spectral._inverse(g, riesz * _full_grid_contract(ref, f.dt, dw, i)))
+        mag = np.abs(ps.to_space(g, riesz * _full_grid_contract(ref, f.dt, dw, i)))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     scale = ps.lp_space_time_norm(f, p) ** p
@@ -393,8 +393,8 @@ class TestHigherMoments:
         f = ps.corpus_entry(g, 24, 1)
         spec = ps.NoiseSpec(K=f.k_h, seed=9, dt=f.dt, nt=24)
         est = ps.moment_bound_check(sym, f, spec, M=5, p=p,
-                                    derivative_order=1.0, base_path=2)
-        want = _moment_by_contraction(sym, f, spec, 5, p, 1.0, base_path=2)
+                                    derivative_order=1.0)
+        want = _moment_by_contraction(sym, f, spec, 5, p, 1.0)
         np.testing.assert_allclose([est.value, est.std_error, est.majorant],
                                    want, rtol=1e-12)
 
@@ -402,11 +402,18 @@ class TestHigherMoments:
         sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
                                   nu=0.5)
         est = ps.moment_bound_check(sym, forcing, spec, M=6, p=4.0,
-                                    derivative_order=1.0, base_path=3)
-        value, std_error = _moment_path_by_path(sym, forcing, spec, 6, 4.0,
-                                                1.0, base_path=3)
+                                    derivative_order=1.0)
+        value, std_error = _moment_path_by_path(sym, forcing, spec, 6, 4.0, 1.0)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.std_error == pytest.approx(std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_majorant_is_the_lp_ratio_bit_for_bit(self, forcing, spec, p):
+        # the check reads ||G f||_p off the propagator its paths use
+        sym = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]),
+                                  nu=0.5)
+        est = ps.moment_bound_check(sym, forcing, spec, M=4, p=p, derivative_order=1.0)
+        assert est.majorant == ps.lp_ratio(sym, 1.0, forcing, p).ratio ** p
 
     def test_zero_forcing_is_trivially_bounded(self, grid, heat):
         vals = np.zeros((16, 1, 64), dtype=complex)
@@ -472,7 +479,7 @@ class TestObservationPoint:
         assert ps.ito_isometry_check(ens, x_index=(8, 8)) == ps.ito_isometry_check(ens)
 
 
-def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
+def _full_grid_checks(sym, f, spec, M, p, eta):
     """The four public results by the full-grid references, from fresh draws.
 
     Returns the ensemble values, the moment check's (value, std_error) and
@@ -481,12 +488,12 @@ def _full_grid_checks(sym, f, spec, M, p, eta, base_path):
     """
     g = f.grid
     ref = grid_arrays(sym, f)
-    dw = _fresh_block(spec, M, base_path)
-    ens = spectral._inverse(g, _full_grid_contract(ref, f.dt, dw, f.nt - 1))
+    dw = _fresh_block(spec, M)
+    ens = ps.to_space(g, _full_grid_contract(ref, f.dt, dw, f.nt - 1))
     riesz = ps.fractional_multiplier(g, eta)
     sums = np.zeros(M)
     for u in _full_grid_advance(ref, f.dt, dw):
-        mag = np.abs(spectral._inverse(g, riesz * u))
+        mag = np.abs(ps.to_space(g, riesz * u))
         sums += np.sum(mag.reshape(M, -1) ** p, axis=1)
     norms = sums * g.h ** g.d * f.dt
     norm_f = ps.lp_space_time_norm(f, p)
@@ -506,13 +513,13 @@ def _assert_support_matches_full_grid(sym, f, bit_for_bit=False):
     """simulate_ensemble, moment_bound_check and ito_isometry_check against
     the full-grid references: rtol 1e-12 and atol 1e-12 of the largest
     reference value, or equal bits."""
-    M, p, eta, base_path = 5, 4.0, 1.0, 3
+    M, p, eta = 5, 4.0, 1.0
     spec = ps.NoiseSpec(K=f.k_h, seed=11, dt=f.dt, nt=f.nt)
-    ens = ps.simulate_ensemble(sym, f, spec, M, base_path=base_path)
-    est = ps.moment_bound_check(sym, f, spec, M, p, eta, base_path=base_path)
+    ens = ps.simulate_ensemble(sym, f, spec, M)
+    est = ps.moment_bound_check(sym, f, spec, M, p, eta)
     iso = ps.ito_isometry_check(ens)
     got = [ens.values, [est.value, est.std_error], [iso.value, iso.std_error]]
-    want = _full_grid_checks(sym, f, spec, M, p, eta, base_path)
+    want = _full_grid_checks(sym, f, spec, M, p, eta)
     for name, a, b in zip(["ensemble", "moment", "isometry"], got, want):
         if bit_for_bit:
             np.testing.assert_array_equal(a, b, err_msg=name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import spectral, squarefn
+from paleyscope import squarefn
 
 from conftest import (
     cell_weights,
@@ -51,7 +51,7 @@ class TestSquareFunction:
         for i in range(1, 9):
             for j in range(i):
                 km = ps.kernel_hat(sym, t[j + 1], t[i], eta, grid) * np.sqrt(weight[j])
-                amp = ps.apply_multiplier(ps.Field(grid, vals[j]), km).values
+                amp = ps.to_space(grid, ps.to_frequency(ps.Field(grid, vals[j])) * km)
                 want[i] += np.sum(np.abs(amp) ** 2, axis=0)
         got = ps.square_function(sym, eta, f).values
         np.testing.assert_allclose(got, np.sqrt(want), rtol=1e-12)
@@ -93,11 +93,6 @@ class TestSquareFunction:
         g = ps.square_function(heat, 1.0, f)
         np.testing.assert_allclose(ge.values[3:], g.values, atol=1e-13)
 
-    def test_frequency_domain_input_rejected(self, grid, heat):
-        f = ps.corpus_entry(grid, 16, 0)
-        with pytest.raises(ValueError):
-            ps.square_function(heat, 1.0, ps.to_frequency(f))
-
     def test_negative_eta_rejected(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
         with pytest.raises(ValueError):
@@ -116,7 +111,7 @@ def _square_function_reference(sym, eta, f):
     for i in range(1, f.nt):
         # row j < i enters at t_{j+1}
         mult = riesz * exp_decay(ref.integrals, i, i + 1)[1:] * np.sqrt(weight[:i])
-        amp = spectral._inverse(g, mult[:, None, ...] * ref.fhat[:i])
+        amp = ps.to_space(g, mult[:, None, ...] * ref.fhat[:i])
         out[i] = np.sqrt(np.sum(np.abs(amp) ** 2, axis=(0, 1)))
     return out
 
@@ -156,9 +151,8 @@ def _on_modes(grid, nt, modes, seed=0):
     fhat = np.zeros((nt, 2, grid.n ** grid.d), complex)
     fhat[..., modes] = (rng.standard_normal((nt, 2, len(modes)))
                         + 1j * rng.standard_normal((nt, 2, len(modes))))
-    return ps.to_space(ps.SpaceTimeField(
-        grid=grid, t0=0.0, dt=0.07, values=fhat.reshape((nt, 2) + grid.shape),
-        domain="freq"))
+    return ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.07,
+                             values=ps.to_space(grid, fhat.reshape((nt, 2) + grid.shape)))
 
 
 @pytest.fixture()
@@ -277,6 +271,9 @@ class TestParsevalNorm:
         f = ps.corpus_entry(grid, 16, 0)
         with pytest.raises(ValueError):
             ps.square_function_l2(heat, -0.5, f)
+        for p in (2.0, 3.0):
+            with pytest.raises(ValueError, match="eta"):
+                ps.lp_ratio(heat, -0.5, f, p)
 
 
 def _grid_constant(sym, eta, grid, dt, nt):
