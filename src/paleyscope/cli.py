@@ -48,13 +48,14 @@ from .spde import (
 )
 from .spectral import (
     Field,
+    Propagator,
     SpaceGrid,
     _atomic_write,
     dump_field,
     kernel_hat,
     to_space,
 )
-from .squarefn import lp_space_time_norm, square_function, square_function_l2
+from .squarefn import SquareField, _l2, _square_values, lp_space_time_norm
 from .symbols import (
     FractionalSymbol,
     LevySymbol,
@@ -364,9 +365,12 @@ def _suite_lp_ratio(cfg, out_dir):
     needs_G = any(p != 2.0 for p in cfg.p_list)
 
     def one(f):
-        # G pointwise only for p != 2; the p = 2 norm comes from Parseval
-        G = square_function(sym, cfg.eta, f) if needs_G else None
-        return [(p, (square_function_l2(sym, cfg.eta, f) if p == 2.0
+        # one propagator per entry; G pointwise only for p != 2, the p = 2
+        # norm from Parseval
+        prop = Propagator(sym, f)
+        G = (SquareField(grid=grid, t0=f.t0, dt=f.dt, values=_square_values(prop, cfg.eta))
+             if needs_G else None)
+        return [(p, (_l2(prop, cfg.eta) if p == 2.0
                      else lp_space_time_norm(G, p)) / lp_space_time_norm(f, p))
                 for p in cfg.p_list]
 

@@ -9,7 +9,8 @@ size 2k + 1.
 The sharp function measures mean oscillation over parabolic cylinders
 (s - R, s + R) x B(y, R^delta0): for every ladder radius the oscillation is
 computed at every cylinder center via separable means, then each point takes
-the sup over all cylinders containing it (a morphological dilation).  The
+the sup over all cylinders containing it (a morphological dilation, itself
+separable: a pass along time, then one over the space ball).  The
 oscillation is the root mean square sqrt(E[g^2] - E[g]^2), computable from
 two mean tables; it dominates the paper's mean absolute deviation
 E|g - E[g]| on every cylinder, so the sharp function bounds the paper's.
@@ -45,7 +46,7 @@ def _require_real(values, what):
         if np.any(values.imag != 0):
             raise ValueError(f"{what} must be real-valued")
         values = values.real
-    return values.astype(float)
+    return values.astype(float, copy=False)
 
 
 def _ball_mask(d, k):
@@ -57,44 +58,55 @@ def _ball_mask(d, k):
     return sum(m ** 2 for m in mesh) <= k * k
 
 
-def _window_means(arr, ks, axis, wrap=False, clipped=False):
+def _window_means(arr, ks, axis, wrap=False, clipped=False, out=None):
     """Centered window means of width 2k+1 along ``axis``, one per k in ``ks``.
 
     One prefix-sum table, padded by max(ks) cells of periodic copies
     (``wrap``, tiled, so k may exceed the axis length) or of zeros, serves
-    the whole ladder.  Sums divide by 2k + 1, or with ``clipped`` by the
-    number of cells inside the data.  k = 0 yields ``arr`` itself.
+    the whole ladder; zero padding adds exact zeros, so a table padded
+    wider than k holds the same prefix sums as one padded by k.  Sums
+    divide by 2k + 1, or with ``clipped`` by the number of cells inside the
+    data, in ``out`` when given (each mean then overwrites the last).
+    k = 0 yields ``arr`` itself.
     """
     kmax = max(ks, default=0)
-    a = np.moveaxis(arr, axis, 0)
-    n = a.shape[0]
-    width = [(kmax, kmax)] + [(0, 0)] * (a.ndim - 1)
-    c = np.cumsum(np.pad(a, width, mode="wrap" if wrap else "constant"),
-                  axis=0, dtype=float)
-    c = np.concatenate([np.zeros((1,) + a.shape[1:]), c])
-    i = np.arange(n).reshape((n,) + (1,) * (a.ndim - 1))
+    axis %= arr.ndim
+    n = arr.shape[axis]
+    at = (slice(None),) * axis
+    table = np.zeros(arr.shape[:axis] + (n + 2 * kmax + 1,) + arr.shape[axis + 1:])
+    body = table[at + (slice(1, None),)]
+    if wrap:
+        body[...] = np.take(arr, np.arange(-kmax, n + kmax) % n, axis=axis)
+    else:
+        body[at + (slice(kmax, kmax + n),)] = arr
+    np.cumsum(body, axis=axis, out=body)
+    i = np.arange(n).reshape((n,) + (1,) * (arr.ndim - axis - 1))
     for k in ks:
         if k == 0:
             yield arr
             continue
-        sums = c[kmax + k + 1: kmax + k + 1 + n] - c[kmax - k: kmax - k + n]
+        sums = np.subtract(table[at + (slice(kmax + k + 1, kmax + k + 1 + n),)],
+                           table[at + (slice(kmax - k, kmax - k + n),)], out=out)
         size = (np.minimum(i + k, n - 1) - np.maximum(i - k, 0) + 1 if clipped
                 else 2 * k + 1)
-        yield np.moveaxis(sums / size, 0, axis)
+        yield np.divide(sums, size, out=sums)
 
 
-def _wrap_ball_means_nd(arr, ks, d):
-    """Periodic ball means over the last d axes, one per radius in ``ks``.
+def _wrap_ball_means_nd(arr, ks, d, out=None):
+    """Periodic ball means over the last d axes, one per radius in ``ks``,
+    in ``out`` when given.
 
     At d = 1 the balls are windows; above, every radius is a circular
     convolution against one forward FFT of ``arr``.
     """
     if d == 1:
-        yield from _window_means(arr, ks, axis=-1, wrap=True)
+        yield from _window_means(arr, ks, axis=-1, wrap=True, out=out)
         return
     shape = arr.shape[-d:]
     axes = tuple(range(-d, 0))
-    arr_hat = np.fft.fftn(arr, axes=axes) if any(ks) else None
+    if any(ks):
+        arr_hat = np.fft.fftn(arr, axes=axes)
+        work = np.empty_like(arr_hat)
     for k in ks:
         if k == 0:
             yield arr
@@ -103,8 +115,9 @@ def _wrap_ball_means_nd(arr, ks, d):
         kernel = np.zeros(shape)
         idx = np.meshgrid(*[np.arange(-k, k + 1) % s for s in shape], indexing="ij")
         np.add.at(kernel, tuple(ix[mask] for ix in idx), 1.0)
-        khat = np.fft.fftn(kernel, axes=axes)
-        yield np.fft.ifftn(arr_hat * khat, axes=axes).real / mask.sum()
+        np.multiply(arr_hat, np.fft.fftn(kernel, axes=axes), out=work)
+        np.fft.ifftn(work, axes=axes, out=work)
+        yield np.divide(work.real, mask.sum(), out=out)
 
 
 def _space_radius_ladder(grid):
@@ -128,7 +141,8 @@ def maximal_space(f):
     """
     values = _require_real(f.values, "maximal_space input")
     out = np.full_like(values, -np.inf)
-    for means in _wrap_ball_means_nd(values, _space_radius_ladder(f.grid), f.grid.d):
+    buf = np.empty_like(out)
+    for means in _wrap_ball_means_nd(values, _space_radius_ladder(f.grid), f.grid.d, out=buf):
         np.maximum(out, means, out=out)
     return Field(f.grid, out)
 
@@ -142,7 +156,8 @@ def maximal_time(f):
     """
     values = _require_real(f.values, "maximal_time input")
     out = np.full_like(values, -np.inf)
-    for means in _window_means(values, range(values.shape[0]), axis=0):
+    buf = np.empty_like(out)
+    for means in _window_means(values, range(values.shape[0]), axis=0, out=buf):
         np.maximum(out, means, out=out)
     return replace(f, values=out)
 
@@ -162,37 +177,55 @@ def _cylinder_cells(grid, dt, R, delta0):
     return kt, ks
 
 
-def _cylinder_means(arr, grid, kt, ks):
-    """Separable cylinder means: periodic space ball, clipped time window."""
-    spaced = next(_wrap_ball_means_nd(arr, [ks], grid.d))
-    return next(_window_means(spaced, [kt], axis=0, clipped=True))
-
-
 def _dilate(arr, grid, kt, ks):
     """Pointwise sup over cylinder centers whose cylinder contains the point.
 
-    kt cells of -inf appended to the time axis stop the ``wrap`` mode from
-    wrapping time; the d = 2 ball admits no per-axis mode list.
+    A max over the cylinder is a max over its time window of maxima over
+    its ball: one pass along time, -inf beyond the data, then one pass over
+    the periodic ball.
     """
-    if kt == 0 and ks == 0:
-        return arr
-    box = np.broadcast_to(_ball_mask(grid.d, ks)[None],
-                          (2 * kt + 1,) + (2 * ks + 1,) * grid.d)
-    pad = np.full((kt,) + arr.shape[1:], -np.inf)
-    padded = np.concatenate([arr, pad], axis=0)
-    return maximum_filter(padded, footprint=box, mode="wrap")[:arr.shape[0]]
+    if kt:
+        arr = maximum_filter(arr, size=(2 * kt + 1,) + (1,) * grid.d,
+                             mode="constant", cval=-np.inf)
+    if ks:
+        arr = maximum_filter(arr, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
+    return arr
 
 
 def _sharp_core(arr, grid, dt, delta0):
+    """RMS oscillation of ``arr`` over the cylinder ladder, dilated and
+    maximized.
+
+    The cylinder means are separable: ball means, then clipped time
+    windows.  E[g] and E[g^2] ride one stacked array; each distinct space
+    radius ks gets its ball means once, and one time table per ks serves
+    every kt that shares it.
+    """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    out = np.zeros_like(arr)
+    ladder = {}  # ks -> the time radii kt of its cylinders
     for R in _default_r_ladder(dt, arr.shape[0]):
         kt, ks = _cylinder_cells(grid, dt, R, delta0)
-        e1 = _cylinder_means(arr, grid, kt, ks)
-        e2 = _cylinder_means(arr ** 2, grid, kt, ks)
-        osc = np.sqrt(np.maximum(e2 - e1 ** 2, 0.0))
-        np.maximum(out, _dilate(osc, grid, kt, ks), out=out)
+        ladder.setdefault(ks, []).append(kt)
+    pair = np.stack([arr, arr ** 2])
+    spaced = np.empty_like(pair)
+    if grid.d == 1:
+        # one wrapped table per radius, padded by that radius alone: a wider
+        # periodic pad would change the rounding of the prefix sums
+        spaces = (next(_wrap_ball_means_nd(pair, [ks], 1, out=spaced)) for ks in ladder)
+    else:
+        spaces = _wrap_ball_means_nd(pair, list(ladder), grid.d, out=spaced)
+    means = np.empty_like(pair)
+    osc = np.empty_like(arr)
+    out = np.zeros_like(arr)
+    for (ks, kts), space in zip(ladder.items(), spaces):
+        for kt, (e1, e2) in zip(kts, _window_means(space, kts, axis=1, clipped=True,
+                                                   out=means)):
+            np.multiply(e1, e1, out=osc)
+            np.subtract(e2, osc, out=osc)
+            np.maximum(osc, 0.0, out=osc)
+            np.sqrt(osc, out=osc)
+            np.maximum(out, _dilate(osc, grid, kt, ks), out=out)
     return out
 
 

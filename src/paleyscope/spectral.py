@@ -159,6 +159,8 @@ class SpaceTimeField:
         v = _check_values(self.grid, self.values)
         if v.ndim != self.grid.d + 2 or v.shape[0] < 1:
             raise ValueError("SpaceTimeField values need shape (nt, K_H) + grid.shape, nt >= 1")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("SpaceTimeField values must be finite")
         object.__setattr__(self, "values", v)
 
     @property

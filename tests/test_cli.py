@@ -291,20 +291,26 @@ class TestSuites:
 
     def test_lp_ratio_computes_g_once_per_entry(self, tmp_path, cli_config,
                                                 monkeypatch):
-        real = ps.squarefn.square_function
-        seen = []
+        real_prop, real_values = cli.Propagator, cli._square_values
+        built, formed = [], []
 
-        def counting(sym, eta, f):
-            seen.append(id(f))
-            return real(sym, eta, f)
+        def building(sym, f):
+            built.append(id(f))
+            return real_prop(sym, f)
 
-        monkeypatch.setattr("paleyscope.squarefn.square_function", counting)
-        monkeypatch.setattr("paleyscope.cli.square_function", counting)
+        def forming(prop, eta):
+            formed.append(prop)
+            return real_values(prop, eta)
+
+        monkeypatch.setattr("paleyscope.cli.Propagator", building)
+        monkeypatch.setattr("paleyscope.cli._square_values", forming)
         rc = main(["lp-ratio", "--config", str(cli_config),
                    "--out", str(tmp_path), "--threads", "1"])
         assert rc == 0
-        # four corpus entries, two p values, one G each
-        assert len(seen) == 4 and len(set(seen)) == 4
+        # four corpus entries, two p values: one propagator and one G each,
+        # G formed from the entry's own propagator
+        assert len(built) == 4 and len(set(built)) == 4
+        assert len(formed) == 4 and len({id(p) for p in formed}) == 4
 
     def test_lp_ratio_p2_alone_never_forms_g(self, tmp_path, cli_config,
                                             monkeypatch):
@@ -321,7 +327,7 @@ class TestSuites:
         seen = []
         monkeypatch.setattr("paleyscope.squarefn.square_function",
                             lambda *a: seen.append(a))
-        monkeypatch.setattr("paleyscope.cli.square_function",
+        monkeypatch.setattr("paleyscope.cli._square_values",
                             lambda *a: seen.append(a))
         rc = main(["lp-ratio", "--config", str(path),
                    "--out", str(tmp_path), "--threads", "1"])

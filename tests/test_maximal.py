@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 import paleyscope as ps
+from paleyscope.cli import build_symbol
 from paleyscope.maximal import (
     _ball_mask,
     _cylinder_cells,
     _default_r_ladder,
+    _dilate,
+    _fs_ratio,
+    _mean_removed,
+    _sharp_core,
+    _space_radius_ladder,
     _window_means,
     _wrap_ball_means_nd,
 )
@@ -44,6 +51,81 @@ def _time_window_means(arr, k, full_normalizer=True):
     i = np.arange(nt)
     counts = np.minimum(i + k, nt - 1) - np.maximum(i - k, 0) + 1
     return sums / counts.reshape((nt,) + (1,) * (arr.ndim - 1))
+
+
+# -- oracles: the ladders as they stood before the shared tables -------------
+# One prefix table per call on the data moved to axis 0, one footprint
+# filter per dilation, and both cylinder means recomputed for every radius.
+
+def _oracle_window_means(arr, ks, axis, wrap=False, clipped=False):
+    kmax = max(ks, default=0)
+    a = np.moveaxis(arr, axis, 0)
+    n = a.shape[0]
+    width = [(kmax, kmax)] + [(0, 0)] * (a.ndim - 1)
+    c = np.cumsum(np.pad(a, width, mode="wrap" if wrap else "constant"),
+                  axis=0, dtype=float)
+    c = np.concatenate([np.zeros((1,) + a.shape[1:]), c])
+    i = np.arange(n).reshape((n,) + (1,) * (a.ndim - 1))
+    for k in ks:
+        if k == 0:
+            yield arr
+            continue
+        sums = c[kmax + k + 1: kmax + k + 1 + n] - c[kmax - k: kmax - k + n]
+        size = (np.minimum(i + k, n - 1) - np.maximum(i - k, 0) + 1 if clipped
+                else 2 * k + 1)
+        yield np.moveaxis(sums / size, 0, axis)
+
+
+def _oracle_ball_means(arr, ks, d):
+    if d == 1:
+        yield from _oracle_window_means(arr, ks, axis=-1, wrap=True)
+        return
+    shape = arr.shape[-d:]
+    axes = tuple(range(-d, 0))
+    arr_hat = np.fft.fftn(arr, axes=axes) if any(ks) else None
+    for k in ks:
+        if k == 0:
+            yield arr
+            continue
+        mask = _ball_mask(d, k)
+        kernel = np.zeros(shape)
+        idx = np.meshgrid(*[np.arange(-k, k + 1) % s for s in shape], indexing="ij")
+        np.add.at(kernel, tuple(ix[mask] for ix in idx), 1.0)
+        khat = np.fft.fftn(kernel, axes=axes)
+        yield np.fft.ifftn(arr_hat * khat, axes=axes).real / mask.sum()
+
+
+def _oracle_dilate(arr, grid, kt, ks):
+    """kt cells of -inf appended to time stop the wrap mode from wrapping it."""
+    if kt == 0 and ks == 0:
+        return arr
+    box = np.broadcast_to(_ball_mask(grid.d, ks)[None],
+                          (2 * kt + 1,) + (2 * ks + 1,) * grid.d)
+    pad = np.full((kt,) + arr.shape[1:], -np.inf)
+    padded = np.concatenate([arr, pad], axis=0)
+    return maximum_filter(padded, footprint=box, mode="wrap")[:arr.shape[0]]
+
+
+def _oracle_sharp_core(arr, grid, dt, delta0):
+    def cylinder_means(a, kt, ks):
+        spaced = next(_oracle_ball_means(a, [ks], grid.d))
+        return next(_oracle_window_means(spaced, [kt], axis=0, clipped=True))
+
+    out = np.zeros_like(arr)
+    for R in _default_r_ladder(dt, arr.shape[0]):
+        kt, ks = _cylinder_cells(grid, dt, R, delta0)
+        e1 = cylinder_means(arr, kt, ks)
+        e2 = cylinder_means(arr ** 2, kt, ks)
+        osc = np.sqrt(np.maximum(e2 - e1 ** 2, 0.0))
+        np.maximum(out, _oracle_dilate(osc, grid, kt, ks), out=out)
+    return out
+
+
+def _oracle_maximal(values, ladder, means):
+    out = np.full_like(values, -np.inf)
+    for m in means(values, ladder):
+        np.maximum(out, m, out=out)
+    return out
 
 
 def _indicator_field(n=1024, L=20.0):
@@ -245,6 +327,119 @@ class TestSharpFunction:
                     want[t, x, y] = max(want[t, x, y],
                                         arr[s, (x + dx) % 8, (y + dy) % 8])
         np.testing.assert_array_equal(_dilate(arr, grid, kt, ks), want)
+
+
+TWO_PIECE_BIHARMONIC = build_symbol({
+    "family": "polyform", "m": 2, "nu": 0.5,
+    "coeffs": [{"alpha": [2], "beta": [2],
+                "breakpoints": [0.0, 0.5], "values": [1.0, 2.0]}]})
+
+
+def _signed_data(d, n, nt, seed):
+    """Mean-removed random data: both signs, as the sharp function sees G."""
+    arr = np.random.default_rng(seed).standard_normal((nt,) + (n,) * d)
+    return arr - arr.mean()
+
+
+class TestSharedTablesAgainstTheOracles:
+    """Every shared-table ladder holds the bits of the per-radius code."""
+
+    @pytest.mark.parametrize("d,n,nt", [(1, 32, 40), (1, 128, 128), (2, 16, 12)])
+    @pytest.mark.parametrize("L,delta0", [(20.0, 0.5), (200.0, 0.5), (1.0, 0.25),
+                                          (20.0, 1.0)])
+    def test_sharp_core(self, d, n, nt, L, delta0):
+        # L = 200 keeps every ball at ks = 0; L = 1 pins the large ones at n/2
+        grid = ps.SpaceGrid(d=d, n=n, L=L)
+        dt = 1.0 / nt
+        arr = _signed_data(d, n, nt, 31)
+        cells = {_cylinder_cells(grid, dt, R, delta0) for R in _default_r_ladder(dt, nt)}
+        if L == 200.0:
+            assert {ks for _, ks in cells} == {0}
+        if L == 1.0:
+            assert max(ks for _, ks in cells) == n // 2
+        for data in (arr, np.abs(arr)):
+            np.testing.assert_array_equal(_sharp_core(data, grid, dt, delta0),
+                                          _oracle_sharp_core(data, grid, dt, delta0))
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 128), (2, 16), (2, 32)])
+    def test_maximal_space_and_time(self, d, n):
+        grid = ps.SpaceGrid(d=d, n=n, L=20.0)
+        arr = _signed_data(d, n, 24, 32)
+        space = ps.maximal_space(ps.Field(grid, arr)).values
+        want = _oracle_maximal(arr, _space_radius_ladder(grid),
+                               lambda v, ks: _oracle_ball_means(v, ks, d))
+        np.testing.assert_array_equal(space, want)
+        time = ps.maximal_time(ps.Field(grid, space)).values
+        want = _oracle_maximal(space, range(space.shape[0]),
+                               lambda v, ks: _oracle_window_means(v, ks, axis=0))
+        np.testing.assert_array_equal(time, want)
+
+    @pytest.mark.parametrize("d,n,nt", [(1, 16, 12), (2, 8, 6)])
+    @pytest.mark.parametrize("kt", [0, 1, 3, 6, 12, 30])
+    @pytest.mark.parametrize("ks", [0, 1, 4])
+    def test_dilate(self, d, n, nt, kt, ks):
+        # kt >= nt reaches past both ends; ks = n/2 wraps onto itself
+        grid = ps.SpaceGrid(d=d, n=n, L=20.0)
+        arr = _signed_data(d, n, nt, 33)
+        np.testing.assert_array_equal(_dilate(arr, grid, kt, ks),
+                                      _oracle_dilate(arr, grid, kt, ks))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    @pytest.mark.parametrize("wrap,clipped", [(True, False), (False, False),
+                                              (False, True)])
+    def test_window_ladders(self, axis, wrap, clipped):
+        # radii 11 .. 40 exceed the axes (7, 9, 11): wrapped ones tile the
+        # circle, zero-padded ones reach past both ends
+        arr = _signed_data(1, 11, 7, 34).reshape(7, 1, 11) * np.ones((1, 9, 1))
+        ladder = [0, 1, 2, 5, 11, 12, 40]
+        got = _window_means(arr, ladder, axis, wrap=wrap, clipped=clipped)
+        want = _oracle_window_means(arr, ladder, axis, wrap=wrap, clipped=clipped)
+        for k, a, b in zip(ladder, got, want):
+            np.testing.assert_array_equal(a, b, err_msg=f"k = {k}")
+
+    def test_ladder_means_share_one_buffer(self):
+        # with out= given every radius overwrites the one buffer
+        arr = _signed_data(1, 11, 7, 35)
+        out = np.empty_like(arr)
+        for k, m in zip([1, 3], _window_means(arr, [1, 3], axis=0, out=out)):
+            assert m is out
+            np.testing.assert_array_equal(m, next(_oracle_window_means(arr, [k], 0)))
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_verify_sharp_bound_on_the_bench_symbol(self, entry):
+        sym = TWO_PIECE_BIHARMONIC
+        grid = ps.SpaceGrid(d=1, n=128, L=20.0)
+        f = ps.corpus_entry(grid, 128, entry)
+        eta, delta0 = sym.order / 2, 1.0 / sym.order
+        h0 = _mean_removed(ps.square_function(sym, eta, f).values)
+        sharp = _oracle_sharp_core(h0, grid, f.dt, delta0)
+        density = np.sum(np.abs(f.values) ** 2, axis=1)
+        w = _oracle_maximal(
+            _oracle_maximal(density, _space_radius_ladder(grid),
+                            lambda v, ks: _oracle_ball_means(v, ks, 1)),
+            range(f.nt), lambda v, ks: _oracle_window_means(v, ks, axis=0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
+        want = (float(np.max(ratio)), _fs_ratio(h0, sharp, 2.0, grid.h * f.dt))
+        assert ps.verify_sharp_bound(sym, eta, f, 2.0) == want
+
+    def test_planar_sharp_function_transforms_the_pair_once(self, monkeypatch):
+        real = np.fft.fftn
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        grid = ps.SpaceGrid(d=2, n=16, L=4.0)
+        arr = _signed_data(2, 16, 16, 36)
+        dt = 1.0 / 16
+        _sharp_core(arr, grid, dt, 0.5)
+        radii = {_cylinder_cells(grid, dt, R, 0.5)[1] for R in _default_r_ladder(dt, 16)}
+        # the value and its square ride one transform; one kernel per radius
+        assert shapes.count((2, 16, 16, 16)) == 1
+        assert shapes.count((16, 16)) == len(radii - {0}) > 1
 
 
 class TestSupRatio:

@@ -80,6 +80,14 @@ class TestTransforms:
         with pytest.raises(ValueError, match="t0 must be finite"):
             ps.SpaceTimeField(grid=grid, t0=t0, dt=0.1, values=np.zeros((2, 1, 64)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_spacetime_field_needs_finite_values(self, grid, bad):
+        # one bad sample in slice 5 would reach every ratio as nan
+        v = ps.corpus_entry(grid, 16, 0).values.copy()
+        v[5, 0, 7] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.1, values=v)
+
     def test_spacetime_round_trip(self, grid):
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 1, 64)) + 0j
