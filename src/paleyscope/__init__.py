@@ -62,7 +62,6 @@ from .squarefn import (
     lp_space_time_norm,
     scaling_check,
     square_function,
-    square_function_l2,
 )
 from .symbols import (
     EllipticityReport,
@@ -84,8 +83,7 @@ __all__ = [
     "kernel_hat", "cumulative_symbol_integrals", "Propagator",
     "dump_field", "load_field",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",
-    "square_function_l2", "lp_space_time_norm", "lp_ratio",
-    "elliptic_square_function", "scaling_check",
+    "lp_space_time_norm", "lp_ratio", "elliptic_square_function", "scaling_check",
     "make_corpus", "corpus_entry", "DEFAULT_SEED",
     "as_fraction", "derive_c3_delta0", "theta", "mu_admissible",
     "KernelExponents", "solve_mu", "theorem_exponents", "EnvelopeFamily",

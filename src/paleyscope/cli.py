@@ -26,7 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -55,7 +55,7 @@ from .spectral import (
     kernel_hat,
     to_space,
 )
-from .squarefn import SquareField, _l2, _square_values, lp_space_time_norm
+from .squarefn import _norms, lp_space_time_norm
 from .symbols import (
     FractionalSymbol,
     LevySymbol,
@@ -247,6 +247,19 @@ def _fmt(x):
     return str(x)
 
 
+def _encode(x):
+    """A JSON report value: floats as 17-significant-digit strings and
+    Fractions as exact ones, inside dicts, lists and tuples; bools, ints,
+    strings and None as they are."""
+    if isinstance(x, dict):
+        return {k: _encode(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_encode(v) for v in x]
+    if isinstance(x, (float, Fraction)):
+        return _fmt(x)
+    return x
+
+
 def emit_csv(path, header, rows):
     """Write rows of already-typed cells with fixed float formatting."""
     lines = [",".join(header)]
@@ -255,31 +268,13 @@ def emit_csv(path, header, rows):
 
 
 def emit_json(path, payload):
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _frac_str(x):
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        return str(x)
-    return format(float(x), ".17g")
+    """Canonical JSON of ``_encode(payload)``: sorted keys, two-space indent,
+    trailing newline."""
+    _atomic_write(path, json.dumps(_encode(payload), sort_keys=True, indent=2) + "\n")
 
 
 def _exponent_payload(ke):
-    return {
-        "d": ke.d,
-        "c2": _frac_str(ke.c2),
-        "c3": _frac_str(ke.c3),
-        "delta0": _frac_str(ke.delta0),
-        "kappa": [_frac_str(v) for v in ke.kappa],
-        "sigma": [_frac_str(v) for v in ke.sigma],
-        "mu": [_frac_str(v) for v in ke.mu],
-        "mu_upper": [_frac_str(v) for v in ke.mu_upper],
-        "valid": {k: bool(v) for k, v in sorted(ke.valid.items())},
-        "is_valid": ke.is_valid,
-    }
+    return {**asdict(ke), "is_valid": ke.is_valid}
 
 
 def _xi_samples(d, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
@@ -336,18 +331,18 @@ def _suite_assumptions(cfg, out_dir):
             checks[f"moment_{name}"] = False
             continue
         rep = moment_integral(fld, float(mu))
-        moments[name] = {"mu": _frac_str(mu), "converged": rep.converged,
-                         "rel_change": format(rep.rel_change, ".17g"),
-                         "tail_integral": format(rep.partials[-1], ".17g")}
+        moments[name] = {"mu": mu, "converged": rep.converged,
+                         "rel_change": rep.rel_change,
+                         "tail_integral": rep.partials[-1]}
         checks[f"moment_{name}"] = rep.converged
     payload = {
         "config_sha256": cfg.sha256,
         "suite": "assumptions",
         "exponents": _exponent_payload(ke),
-        "C0": format(c0, ".17g"),
-        "nu_requested": format(ell.nu_requested, ".17g"),
-        "nu_observed": format(ell.nu_observed, ".17g"),
-        "derivative_bound_max": format(max(ell.derivative_bounds.values()), ".17g"),
+        "C0": c0,
+        "nu_requested": ell.nu_requested,
+        "nu_observed": ell.nu_observed,
+        "derivative_bound_max": max(ell.derivative_bounds.values()),
         "moments": moments,
         "checks": {k: bool(v) for k, v in sorted(checks.items())},
     }
@@ -361,29 +356,19 @@ def _suite_lp_ratio(cfg, out_dir):
     fields = _corpus(cfg)
     c0 = verify_assumption1(sym, cfg.eta, _xi_samples(grid.d))
     bound = math.sqrt(c0) + 1e-3
-
-    needs_G = any(p != 2.0 for p in cfg.p_list)
-
-    def one(f):
-        # one propagator per entry; G pointwise only for p != 2, the p = 2
-        # norm from Parseval
-        prop = Propagator(sym, f)
-        G = (SquareField(grid=grid, t0=f.t0, dt=f.dt, values=_square_values(prop, cfg.eta))
-             if needs_G else None)
-        return [(p, (_l2(prop, cfg.eta) if p == 2.0
-                     else lp_space_time_norm(G, p)) / lp_space_time_norm(f, p))
-                for p in cfg.p_list]
-
     rows = []
     ok = True
-    family = sym.family
     gm = _gamma_or_m(sym)
-    for ratios in map(one, fields):
-        for p, ratio in ratios:
-            # only p = 2 rows are gated; the others leave bound and pass empty
-            gated, passed = p == 2.0, ratio <= bound
+    for f in fields:
+        # one propagator per entry, as lp_ratio builds it for one p
+        norms = _norms(Propagator(sym, f), cfg.eta, cfg.p_list)
+        for p, norm_G in zip(cfg.p_list, norms):
+            ratio = norm_G / lp_space_time_norm(f, p)
+            # only p = 2 rows are gated, and an infinite C0 passes none of
+            # them; the other rows leave bound and pass empty
+            gated, passed = p == 2.0, math.isfinite(bound) and ratio <= bound
             ok = ok and (passed or not gated)
-            rows.append([family, gm, p, grid.n, cfg.nt, ratio,
+            rows.append([sym.family, gm, p, grid.n, cfg.nt, ratio,
                          *((bound, passed) if gated else ("", ""))])
     emit_csv(os.path.join(out_dir, "lp-ratio.csv"),
              ["family", "gamma_or_m", "p", "n", "nt", "ratio", "C0_bound", "pass"],
@@ -431,10 +416,10 @@ def _suite_spde(cfg, out_dir):
         "M": M,
         "K": K,
         "seed": seed,
-        "isometry_rel_error": format(iso.value, ".17g"),
-        "isometry_std_error": format(iso.std_error, ".17g"),
-        "excess_kurtosis": format(kurt, ".17g"),
-        "kurtosis_std_error": format(math.sqrt(24 / M), ".17g"),
+        "isometry_rel_error": iso.value,
+        "isometry_std_error": iso.std_error,
+        "excess_kurtosis": kurt,
+        "kurtosis_std_error": math.sqrt(24 / M),
         "checks": {k: bool(v) for k, v in sorted(checks.items())},
     }
     emit_json(os.path.join(out_dir, "spde.json"), payload)
@@ -493,15 +478,16 @@ def _suite_kernel_dump(cfg, out_dir):
     payload = {
         "config_sha256": cfg.sha256,
         "suite": "kernel-dump",
-        "s": format(s, ".17g"),
-        "t": format(t, ".17g"),
-        "eta": format(eta, ".17g"),
+        "s": s,
+        "t": t,
+        "eta": eta,
         "file": "kernel.plsf",
-        "nyquist_ratio": format(edge / peak if peak > 0 else 0.0, ".17g"),
+        "nyquist_ratio": edge / peak if peak > 0 else 0.0,
         "payload_sha256": digest,
     }
     emit_json(os.path.join(out_dir, "kernel-dump.json"), payload)
-    return True
+    # an overflowing multiplier (large eta) is a failed check, not a kernel
+    return bool(np.all(np.isfinite(k)))
 
 
 def run_experiment(suite, cfg, out_dir, threads=None, args=None):
@@ -532,7 +518,7 @@ def _build_parser():
     parser.add_argument("--config", help="experiment JSON path")
     parser.add_argument("--out", default=".", help="report output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="sharp-bound worker threads, 0 = auto (env PALEY_THREADS)")
+                        help="sharp-bound worker threads, 0 = auto")
     parser.add_argument("--gamma", action="append",
                         help="exponents suite: order(s), repeatable or comma-separated")
     parser.add_argument("--dim", action="append",
@@ -548,10 +534,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        raw = (os.environ.get("PALEY_THREADS") or "0") if args.threads is None else args.threads
-        if not str(raw).strip().isdecimal():
-            raise ConfigError(f"thread count must be a nonnegative integer, got {raw!r}")
-        threads = int(raw) or min(32, os.cpu_count() or 1)
+        if (args.threads or 0) < 0:
+            raise ConfigError(f"thread count must be a nonnegative integer, got {args.threads}")
+        threads = args.threads or min(32, os.cpu_count() or 1)
         cfg = load_config(args.config) if args.config else None
         if cfg is None and suite not in ("exponents",):
             raise ConfigError(f"suite {suite!r} requires --config")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import Propagator, fractional_multiplier, to_space
-from .squarefn import DegenerateFieldError, _norm_G, lp_space_time_norm
+from .squarefn import DegenerateFieldError, _norms, lp_space_time_norm
 
 __all__ = [
     "NoiseSpec",
@@ -301,7 +301,7 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order):
     norms = sums * g.h ** g.d * f.dt
     value = float(np.mean(norms)) / norm_f ** p
     std_err = float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p
-    majorant = (_norm_G(prop, eta, p) / norm_f) ** p
+    majorant = (_norms(prop, eta, [p])[0] / norm_f) ** p
     return MomentEstimate(value=value, std_error=std_err, M=M, majorant=majorant)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "LpReport",
     "DegenerateFieldError",
     "square_function",
-    "square_function_l2",
     "lp_space_time_norm",
     "lp_ratio",
     "elliptic_square_function",
@@ -195,8 +194,8 @@ def _fft_route(prop, eta):
     return out
 
 
-def square_function_l2(sym, eta, f):
-    """||G f||_2 on the grid of ``f`` without forming G, in O(nt * K * m).
+def _l2(prop, eta):
+    """||G f||_2 from the propagator of f without forming G, in O(nt * K * m).
 
     By Parseval, h^d sum_x |g|^2 = L^-d sum_xi |ghat|^2 per slice, so with
     q_j = sum_k |fhat_jk|^2 and the cell weights W_j of :func:`square_function`
@@ -208,14 +207,6 @@ def square_function_l2(sym, eta, f):
     propagator's ``support``, so this is the space-time 2-norm of
     :func:`square_function` rearranged, equal to it up to rounding.
     """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return _l2(Propagator(sym, f), eta)
-
-
-def _l2(prop, eta):
-    """||G f||_2 from the propagator of f: the Parseval sum of
-    :func:`square_function_l2`."""
     g = prop.grid
     q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
     gain = np.abs(prop.step) ** 2
@@ -251,20 +242,19 @@ def lp_space_time_norm(g, p):
     return _lp_nd(mag, grid.h ** grid.d, dt, p)
 
 
-def _norm_G(prop, eta, p):
-    """||G f||_p from the propagator of f: by :func:`_l2` at p = 2, else from
-    G formed and checked as a SquareField (its t0 does not enter the norm)."""
-    if p == 2:
-        return _l2(prop, eta)
-    G = SquareField(grid=prop.grid, t0=0.0, dt=prop.dt, values=_square_values(prop, eta))
-    return lp_space_time_norm(G, p)
+def _norms(prop, eta, ps):
+    """||G f||_p for each p in ``ps`` from the propagator of f: by :func:`_l2`
+    at p = 2, else from G, formed once when some p != 2."""
+    G = _square_values(prop, eta) if any(p != 2 for p in ps) else None
+    h_d = prop.grid.h ** prop.grid.d
+    return [_l2(prop, eta) if p == 2 else _lp_nd(G, h_d, prop.dt, p) for p in ps]
 
 
 def lp_ratio(sym, eta, f, p):
     """Empirical ratio ||G f||_p / || |f|_H ||_p as an LpReport.
 
-    At p = 2 the numerator comes from :func:`square_function_l2`; G is
-    formed only for p != 2.  Raises DegenerateFieldError when the reference
+    At p = 2 the numerator comes from Parseval (:func:`_l2`); G is formed
+    only for p != 2.  Raises DegenerateFieldError when the reference
     norm vanishes.
     """
     norm_f = lp_space_time_norm(f, p)
@@ -272,7 +262,7 @@ def lp_ratio(sym, eta, f, p):
         raise DegenerateFieldError("input field has zero norm")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    norm_G = _norm_G(Propagator(sym, f), eta, p)
+    norm_G = _norms(Propagator(sym, f), eta, [p])[0]
     g = f.grid
     return LpReport(p=float(p), norm_G=norm_G, norm_f=norm_f,
                     ratio=norm_G / norm_f, d=g.d, n=g.n, L=g.L,
@@ -298,46 +288,40 @@ def elliptic_square_function(f, gamma, p):
     """Square function of the order-2*gamma semigroup applied to a static field.
 
     The operator has multiplier |xi|^gamma exp(-t |xi|^(2 gamma)); its squared
-    time integral per nonzero mode is exactly 1/2, independent of gamma.  The
-    zero mode is annihilated, so the reference norm is taken mean-free.
+    time integral per nonzero mode is exactly 1/2, independent of gamma, so
+    by Parseval the ratio is 1/sqrt(2) at p = 2.  The zero mode is
+    annihilated, so the reference norm is taken mean-free.
 
-    For p = 2 Parseval turns the ratio into a single scalar quadrature of
-    exp(-2u), evaluated on geometric Gauss panels.  For p != 2 the square
-    function is tabulated on the shared time grid and its spatial L_p norm is
-    formed directly.  The report's time metadata is (nt=1, dt=0) since the
-    output is a purely spatial profile.
+    For every p the square function is tabulated on geometric Gauss panels
+    that resolve the fastest and the slowest decay rate on the grid, and
+    both spatial L_p norms are formed directly.  The report's time metadata
+    is (nt=1, dt=0) since the output is a purely spatial profile.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if p < 1:
         raise ValueError("p must be at least 1")
     g = f.grid
+    h_d = g.h ** g.d
     fhat = to_frequency(f)
     mask = g.abs_xi() > 0
     mag0 = np.sqrt(np.sum(np.abs(to_space(g, fhat * mask)) ** 2, axis=0))
-    norm_f = float((np.sum(mag0 ** p) * g.h ** g.d) ** (1.0 / p))
+    norm_f = _lp_nd(mag0, h_d, 1.0, p)
     if norm_f == 0.0:
         raise DegenerateFieldError("field is constant; nothing to measure")
 
-    if p == 2:
-        # substitution u = t |xi|^(2 gamma) per mode: one scalar quadrature
-        nodes, weights = _semigroup_time_quadrature(first=1e-3, panels=25)
-        q = float(np.sum(weights * np.exp(-2.0 * nodes)))
-        norm_G = float(np.sqrt(q)) * norm_f
-    else:
-        rate = fractional_multiplier(g, 2.0 * gamma)
-        r_pos = rate[mask]
-        first = 0.01 / float(np.max(r_pos))
-        panels = int(np.ceil(np.log2(15.0 / float(np.min(r_pos)) / first))) + 1
-        nodes, weights = _semigroup_time_quadrature(first=first, panels=panels)
-        riesz = fractional_multiplier(g, gamma)
-        Gsq = np.zeros(g.shape)
-        for t, w in zip(nodes, weights):
-            mult = riesz * np.exp(-t * rate) * mask
-            amp = to_space(g, fhat * mult)
-            Gsq += w * np.sum(np.abs(amp) ** 2, axis=0)
-        Gmag = np.sqrt(Gsq)
-        norm_G = float((np.sum(Gmag ** p) * g.h ** g.d) ** (1.0 / p))
+    rate = fractional_multiplier(g, 2.0 * gamma)
+    r_pos = rate[mask]
+    first = 0.01 / float(np.max(r_pos))
+    panels = int(np.ceil(np.log2(15.0 / float(np.min(r_pos)) / first))) + 1
+    nodes, weights = _semigroup_time_quadrature(first=first, panels=panels)
+    riesz = fractional_multiplier(g, gamma)
+    Gsq = np.zeros(g.shape)
+    for t, w in zip(nodes, weights):
+        mult = riesz * np.exp(-t * rate) * mask
+        amp = to_space(g, fhat * mult)
+        Gsq += w * np.sum(np.abs(amp) ** 2, axis=0)
+    norm_G = _lp_nd(np.sqrt(Gsq), h_d, 1.0, p)
     return LpReport(p=float(p), norm_G=norm_G, norm_f=norm_f,
                     ratio=norm_G / norm_f, d=g.d, n=g.n, L=g.L, nt=1, dt=0.0)
 

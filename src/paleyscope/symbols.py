@@ -106,6 +106,11 @@ class _TimeSymbol:
     breakpoints: np.ndarray  # left edges, ascending
     order: float             # effective homogeneity order gamma_eff
     dim: int | None          # fixed dimension, or None if dimension-agnostic
+    family: str              # the config tag of the subclass
+
+    @property
+    def time_independent(self):
+        return len(self.breakpoints) == 1
 
     def _eval_pieces(self, xi):
         raise NotImplementedError
@@ -161,6 +166,8 @@ class FractionalSymbol(_TimeSymbol):
         nu < Re v < 1/nu.
     """
 
+    family = "fractional"
+
     def __init__(self, gamma, a=1.0, nu=0.5):
         if not (gamma > 0 and math.isfinite(gamma)):
             raise ValueError("gamma must be positive and finite")
@@ -176,14 +183,6 @@ class FractionalSymbol(_TimeSymbol):
         self.a = values
         self.order = float(gamma)
         self.dim = None
-
-    @property
-    def family(self):
-        return "fractional"
-
-    @property
-    def time_independent(self):
-        return len(self.a) == 1
 
     def _eval_pieces(self, xi):
         r = np.linalg.norm(xi, axis=-1) ** self.gamma
@@ -206,6 +205,7 @@ class PolyFormSymbol(_TimeSymbol):
     ``nu <= sum Re[a^{ab}] u^{alpha+beta} <= 1/nu`` there.
     """
 
+    family = "polyform"
     _UNIT_SAMPLES = 32  # circle directions sampled for the d=2 form check
 
     def __init__(self, m, coeffs, nu=0.5):
@@ -242,14 +242,6 @@ class PolyFormSymbol(_TimeSymbol):
         self.exponents = np.array([[a + b for a, b in zip(al, be)] for al, be in pairs])
         self.coeff_table = merged
         self._check_form()
-
-    @property
-    def family(self):
-        return "polyform"
-
-    @property
-    def time_independent(self):
-        return len(self.breakpoints) == 1
 
     def _unit_vectors(self):
         if self.dim == 1:
@@ -311,6 +303,8 @@ class LevySymbol(_TimeSymbol):
         (ignored for d=1).
     """
 
+    family = "levy"
+
     def __init__(self, k, gamma, density, d, c1=1.0, c2=1.0, N0=0.1, nodes=None):
         if not (isinstance(k, int) and k >= 0):
             raise ValueError("k must be a nonnegative integer")
@@ -352,14 +346,6 @@ class LevySymbol(_TimeSymbol):
         self.density = table
         if np.max(self._eval_pieces(self.nodes).real) > -self.N0:
             raise ValueError("Re psi exceeds -N0 at a unit-sphere node in some time piece")
-
-    @property
-    def family(self):
-        return "levy"
-
-    @property
-    def time_independent(self):
-        return len(self.breakpoints) == 1
 
     def _eval_pieces(self, xi):
         dot = xi @ self.nodes.T                       # (..., nodes)

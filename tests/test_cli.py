@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,21 +140,9 @@ class TestConfig:
         assert err.startswith("error: ") and "grid.n" in err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize("flags, env", [
-        (["--threads", "-1"], None),
-        ([], "-2"),
-        ([], "abc"),
-        ([], "1.5"),
-    ])
-    def test_bad_thread_settings_are_usage_errors(self, tmp_path, capsys,
-                                                  cli_config, monkeypatch,
-                                                  flags, env):
-        if env is None:
-            monkeypatch.delenv("PALEY_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PALEY_THREADS", env)
+    def test_bad_thread_settings_are_usage_errors(self, tmp_path, capsys, cli_config):
         rc = main(["lp-ratio", "--config", str(cli_config),
-                   "--out", str(tmp_path), *flags])
+                   "--out", str(tmp_path), "--threads", "-1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -250,6 +239,18 @@ class TestConfig:
         assert capsys.readouterr().err != ""
 
 
+class TestEmitJson:
+    def test_encodes_each_number_kind_once(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli.emit_json(path, {"b": {"x": [0.1, Fraction(1, 3), (2, None)], "ok": True},
+                             "a": np.float64(2 / 3), "n": 7, "s": "text"})
+        assert path.read_text() == (
+            '{\n  "a": "0.66666666666666663",\n  "b": {\n    "ok": true,\n'
+            '    "x": [\n      "0.10000000000000001",\n      "1/3",\n      [\n'
+            '        2,\n        null\n      ]\n    ]\n  },\n  "n": 7,\n'
+            '  "s": "text"\n}\n')
+
+
 class TestSuites:
     def test_lp_ratio_artifact(self, tmp_path, cli_config):
         rc = main(["lp-ratio", "--config", str(cli_config),
@@ -291,7 +292,7 @@ class TestSuites:
 
     def test_lp_ratio_computes_g_once_per_entry(self, tmp_path, cli_config,
                                                 monkeypatch):
-        real_prop, real_values = cli.Propagator, cli._square_values
+        real_prop, real_values = cli.Propagator, ps.squarefn._square_values
         built, formed = [], []
 
         def building(sym, f):
@@ -303,7 +304,7 @@ class TestSuites:
             return real_values(prop, eta)
 
         monkeypatch.setattr("paleyscope.cli.Propagator", building)
-        monkeypatch.setattr("paleyscope.cli._square_values", forming)
+        monkeypatch.setattr("paleyscope.squarefn._square_values", forming)
         rc = main(["lp-ratio", "--config", str(cli_config),
                    "--out", str(tmp_path), "--threads", "1"])
         assert rc == 0
@@ -325,12 +326,11 @@ class TestSuites:
         path.write_text(json.dumps(cfg))
         real = ps.squarefn.square_function
         seen = []
-        monkeypatch.setattr("paleyscope.squarefn.square_function",
-                            lambda *a: seen.append(a))
-        monkeypatch.setattr("paleyscope.cli._square_values",
-                            lambda *a: seen.append(a))
-        rc = main(["lp-ratio", "--config", str(path),
-                   "--out", str(tmp_path), "--threads", "1"])
+        with monkeypatch.context() as m:
+            m.setattr("paleyscope.squarefn.square_function", lambda *a: seen.append(a))
+            m.setattr("paleyscope.squarefn._square_values", lambda *a: seen.append(a))
+            rc = main(["lp-ratio", "--config", str(path),
+                       "--out", str(tmp_path), "--threads", "1"])
         assert rc == 0 and seen == []
         with open(tmp_path / "lp-ratio.csv", newline="") as fh:
             alone = list(csv.DictReader(fh))
@@ -343,6 +343,35 @@ class TestSuites:
             want = (ps.lp_space_time_norm(real(c.symbol, c.eta, f), 2.0)
                     / ps.lp_space_time_norm(f, 2.0))
             assert float(row["ratio"]) == pytest.approx(want, rel=1e-12)
+
+    def test_lp_ratio_rows_are_the_library_ratios(self, tmp_path, cli_config):
+        cfg = json.loads(cli_config.read_text())
+        cfg["p_list"] = [2, 3]
+        path = tmp_path / "p23.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["lp-ratio", "--config", str(path), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "lp-ratio.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        c = load_config(path)
+        fields = ps.make_corpus(c.grid, c.nt, count=4, seed=c.corpus["seed"])
+        want = [format(ps.lp_ratio(c.symbol, c.eta, f, p).ratio, ".17g")
+                for f in fields for p in c.p_list]
+        assert [r["ratio"] for r in rows] == want
+
+    def test_lp_ratio_fails_when_c0_is_infinite(self, tmp_path, cli_config):
+        # |xi|^400 overflows, so C0 and the bound are infinite
+        cfg = json.loads(cli_config.read_text())
+        cfg["eta"] = 400
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["lp-ratio", "--config", str(path), "--out", str(tmp_path)])
+        assert any("overflow" in str(w.message) for w in caught)
+        assert rc == 1
+        with open(tmp_path / "lp-ratio.csv", newline="") as fh:
+            p2 = [r for r in csv.DictReader(fh) if r["p"] == "2"]
+        assert len(p2) == 4
+        assert all(r["C0_bound"] == "inf" and r["pass"] == "false" for r in p2)
 
     def test_stale_temp_directory_does_not_block_the_report(self, tmp_path,
                                                            cli_config):
@@ -505,6 +534,19 @@ class TestSuites:
         want = k[cfg.grid.n // 2] / k.max()  # the one n/2 mode at d = 1
         assert float(meta["nyquist_ratio"]) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(3.0262e-4, rel=1e-4)
+
+    def test_kernel_dump_fails_on_a_non_finite_multiplier(self, tmp_path, cli_config):
+        cfg = json.loads(cli_config.read_text())
+        cfg["kernel"]["eta"] = 400
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.warns(RuntimeWarning) as caught:
+            rc = main(["kernel-dump", "--config", str(path), "--out", str(tmp_path)])
+        assert any("overflow" in str(w.message) for w in caught)
+        assert rc == 1
+        # the report is still written, as for every failed check
+        meta = json.loads((tmp_path / "kernel-dump.json").read_text())
+        assert meta["eta"] == "400" and (tmp_path / "kernel.plsf").is_file()
 
     @pytest.mark.parametrize("suite", cli.SUITES)
     def test_suites_run_silent(self, tmp_path, cli_config, capfd, suite):

@@ -258,19 +258,17 @@ class TestParsevalNorm:
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.07, values=vals)
         eta = eta_scale * sym.order
         want = ps.lp_space_time_norm(ps.square_function(sym, eta, f), 2.0)
-        assert ps.square_function_l2(sym, eta, f) == pytest.approx(want, rel=1e-12)
+        assert squarefn._l2(ps.Propagator(sym, f), eta) == pytest.approx(want, rel=1e-12)
 
     def test_lp_ratio_takes_p2_from_parseval(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
         rep = ps.lp_ratio(heat, 1.0, f, 2.0)
-        assert rep.norm_G == ps.square_function_l2(heat, 1.0, f)
+        assert rep.norm_G == squarefn._l2(ps.Propagator(heat, f), 1.0)
         want = ps.lp_space_time_norm(ps.square_function(heat, 1.0, f), 2.0)
         assert rep.norm_G == pytest.approx(want, rel=1e-12)
 
     def test_negative_eta_rejected(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
-        with pytest.raises(ValueError):
-            ps.square_function_l2(heat, -0.5, f)
         for p in (2.0, 3.0):
             with pytest.raises(ValueError, match="eta"):
                 ps.lp_ratio(heat, -0.5, f, p)
