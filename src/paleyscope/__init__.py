@@ -27,7 +27,6 @@ from .maximal import (
     fefferman_stein_check,
     maximal_space,
     maximal_time,
-    sharp_function,
     verify_sharp_bound,
 )
 from .spde import (
@@ -60,7 +59,6 @@ from .squarefn import (
     elliptic_square_function,
     lp_ratio,
     lp_space_time_norm,
-    scaling_check,
     square_function,
 )
 from .symbols import (
@@ -83,14 +81,13 @@ __all__ = [
     "kernel_hat", "cumulative_symbol_integrals", "Propagator",
     "dump_field", "load_field",
     "SquareField", "LpReport", "DegenerateFieldError", "square_function",
-    "lp_space_time_norm", "lp_ratio", "elliptic_square_function", "scaling_check",
+    "lp_space_time_norm", "lp_ratio", "elliptic_square_function",
     "make_corpus", "corpus_entry", "DEFAULT_SEED",
     "as_fraction", "derive_c3_delta0", "theta", "mu_admissible",
     "KernelExponents", "solve_mu", "theorem_exponents", "EnvelopeFamily",
     "synthesize_envelopes", "MomentReport", "moment_integral",
     "assumption1_profile", "verify_assumption1",
-    "maximal_space", "maximal_time", "sharp_function", "verify_sharp_bound",
-    "fefferman_stein_check",
+    "maximal_space", "maximal_time", "verify_sharp_bound", "fefferman_stein_check",
     "NoiseSpec", "MomentEstimate", "PathEnsemble",
     "sample_brownian_increments",
     "ito_isometry_check", "moment_bound_check", "simulate_ensemble",

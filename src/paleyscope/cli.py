@@ -306,7 +306,7 @@ def _corpus(cfg, entry=None):
     try:
         return (make_corpus(cfg.grid, cfg.nt, cfg.corpus["count"], **kw) if entry is None
                 else corpus_entry(cfg.grid, cfg.nt, entry, **kw))
-    except ValueError as e:  # a grid too coarse for the corpus band
+    except ValueError as e:  # a grid too coarse for the corpus band, or nt < 3
         raise ConfigError(str(e)) from None
 
 

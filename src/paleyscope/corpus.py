@@ -43,11 +43,12 @@ def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
     The channel count cycles through ``K_H_CYCLE`` with the index.  Time
     slices are j * dt with dt = t_window / (nt - 1); the first and last
     slices vanish, satisfying the compact-support precondition of the square
-    function.  The grid must resolve the band: n > 2 * JMAX, or the modes
-    j = +-n/2 would alias onto each other.
+    function, so nt >= 3 keeps a slice that does not.  The grid must
+    resolve the band: n > 2 * JMAX, or the modes j = +-n/2 would alias
+    onto each other.
     """
-    if nt < 2:
-        raise ValueError("nt must be at least 2")
+    if nt < 3:
+        raise ValueError(f"nt must be at least 3: both window ends vanish, got {nt}")
     if grid.n <= 2 * JMAX:
         raise ValueError(f"the corpus band |j| <= {JMAX} needs grid.n > {2 * JMAX}, "
                          f"got {grid.n}")

@@ -4,16 +4,19 @@ Space and time maximal functions are discrete Hardy-Littlewood operators:
 sups of window averages over a ladder of radii.  Space windows wrap
 periodically (matching the torus); time windows extend the data by zero,
 matching compact support on the line, and are normalized by the full window
-size 2k + 1.
+size 2k + 1.  The dense ladders (time, and space at d = 1) evaluate a block
+of consecutive radii per call from strided views of one prefix table.
 
 The sharp function measures mean oscillation over parabolic cylinders
 (s - R, s + R) x B(y, R^delta0): for every ladder radius the oscillation is
 computed at every cylinder center via separable means, then each point takes
 the sup over all cylinders containing it (a morphological dilation, itself
-separable: a pass along time, then one over the space ball).  The
-oscillation is the root mean square sqrt(E[g^2] - E[g]^2), computable from
-two mean tables; it dominates the paper's mean absolute deviation
-E|g - E[g]| on every cylinder, so the sharp function bounds the paper's.
+separable: a doubling max along time, then one pass over the space ball,
+shared by every cylinder of that ball since the dilation distributes over
+max).  The oscillation is the root mean square sqrt(E[g^2] - E[g]^2),
+computable from two mean tables; it dominates the paper's mean absolute
+deviation E|g - E[g]| on every cylinder, so the sharp function bounds the
+paper's.  Max is exact, so every reordering here keeps every bit.
 
 :func:`verify_sharp_bound` is the one route for the paper's estimate
 (G f)^# <= N (M_t M_x |f|_H^2)^{1/2} followed by Fefferman-Stein
@@ -34,7 +37,6 @@ from .squarefn import DegenerateFieldError, square_function
 __all__ = [
     "maximal_space",
     "maximal_time",
-    "sharp_function",
     "verify_sharp_bound",
     "fefferman_stein_check",
 ]
@@ -58,28 +60,47 @@ def _ball_mask(d, k):
     return sum(m ** 2 for m in mesh) <= k * k
 
 
+def _prefix_table(arr, kmax, axis, wrap):
+    """Prefix sums along ``axis`` of ``arr`` padded by ``kmax`` cells each side,
+    periodic copies (``wrap``, tiled, so kmax may exceed the axis length)
+    or zeros, after one leading zero: table[j] sums the padded cells
+    before j.
+
+    A zero-padded table accumulates only from its last leading zero
+    through the data and copies the total into the tail: the leading sums
+    are +0.0, adding +0.0 keeps every later sum (which, from +0.0, is never
+    -0.0), so these are the bits of the sums over the whole padded row.
+    """
+    n = arr.shape[axis]
+    at = (slice(None),) * axis
+    table = np.zeros(arr.shape[:axis] + (n + 2 * kmax + 1,) + arr.shape[axis + 1:])
+    if wrap:
+        body = table[at + (slice(1, None),)]
+        body[...] = np.take(arr, np.arange(-kmax, n + kmax) % n, axis=axis)
+        np.cumsum(body, axis=axis, out=body)
+        return table
+    body = table[at + (slice(kmax, kmax + n + 1),)]
+    body[at + (slice(1, None),)] = arr
+    np.cumsum(body, axis=axis, out=body)
+    table[at + (slice(kmax + n + 1, None),)] = table[at + (slice(kmax + n, kmax + n + 1),)]
+    return table
+
+
 def _window_means(arr, ks, axis, wrap=False, clipped=False, out=None):
     """Centered window means of width 2k+1 along ``axis``, one per k in ``ks``.
 
     One prefix-sum table, padded by max(ks) cells of periodic copies
-    (``wrap``, tiled, so k may exceed the axis length) or of zeros, serves
-    the whole ladder; zero padding adds exact zeros, so a table padded
-    wider than k holds the same prefix sums as one padded by k.  Sums
-    divide by 2k + 1, or with ``clipped`` by the number of cells inside the
-    data, in ``out`` when given (each mean then overwrites the last).
-    k = 0 yields ``arr`` itself.
+    (``wrap``) or of zeros, serves the whole ladder; zero padding adds
+    exact zeros, so a table padded wider than k holds the same prefix sums
+    as one padded by k.  Sums divide by 2k + 1, or with ``clipped`` by the
+    number of cells inside the data, in ``out`` when given (each mean then
+    overwrites the last).  k = 0 yields ``arr`` itself.
     """
     kmax = max(ks, default=0)
     axis %= arr.ndim
     n = arr.shape[axis]
     at = (slice(None),) * axis
-    table = np.zeros(arr.shape[:axis] + (n + 2 * kmax + 1,) + arr.shape[axis + 1:])
-    body = table[at + (slice(1, None),)]
-    if wrap:
-        body[...] = np.take(arr, np.arange(-kmax, n + kmax) % n, axis=axis)
-    else:
-        body[at + (slice(kmax, kmax + n),)] = arr
-    np.cumsum(body, axis=axis, out=body)
+    table = _prefix_table(arr, kmax, axis, wrap)
     i = np.arange(n).reshape((n,) + (1,) * (arr.ndim - axis - 1))
     for k in ks:
         if k == 0:
@@ -90,6 +111,67 @@ def _window_means(arr, ks, axis, wrap=False, clipped=False, out=None):
         size = (np.minimum(i + k, n - 1) - np.maximum(i - k, 0) + 1 if clipped
                 else 2 * k + 1)
         yield np.divide(sums, size, out=sums)
+
+
+# bytes of window sums one call of a dense ladder evaluates at once
+_BLOCK_BYTES = 1 << 20
+
+
+def _dense_ladder_max(arr, kmax, axis, wrap=False):
+    """Pointwise max of the window means of width 2k+1 along ``axis`` over
+    every k = 0 .. kmax, each sum divided by 2k + 1.
+
+    The radii run in blocks of B sized by :data:`_BLOCK_BYTES`: one
+    subtract of two strided views of the one prefix table (axis 0 of the
+    view steps the radius), one divide by the column 2k + 1, and a max
+    over the block.  Every mean is the per-radius one and max is exact,
+    so the result holds the bits of a radius-by-radius ladder.  Radius 0
+    is ``arr`` itself.
+
+    Zero-padded with kmax >= n - 1, a block skips the positions whose
+    window spans the data at k - 1 already.  From there on a window reads
+    the total T of its line exactly (leading sums +0.0, trailing ones the
+    total), so its means T / (2k + 1) peak at that first radius when
+    T >= 0, which the ladder reads, and at kmax otherwise, which one last
+    maximum with T / (2 kmax + 1) supplies for every position.  The
+    positions left form two runs of equal length, read as one view.
+    """
+    axis %= arr.ndim
+    n = arr.shape[axis]
+    at = (slice(None),) * axis
+    table = _prefix_table(arr, kmax, axis, wrap)
+    out = arr.copy()
+    block = max(1, min(kmax, _BLOCK_BYTES // max(arr.nbytes, 1)))
+    sums = np.empty(block * arr.size)
+    top = np.empty(arr.size)
+    spans = not wrap and kmax >= n - 1
+    step = table.strides[axis]
+
+    def runs(a, start, lead, k0, s):
+        """Rows start + i of the contiguous ``a`` for i in 0 .. s - 1 and
+        k0 .. k0 + s - 1 (one run when s = n), with leading axes ``lead`` =
+        (shape, strides); a view built directly on ``a``'s buffer."""
+        shape = arr.shape[:axis] + (s,) + arr.shape[axis + 1:]
+        return np.ndarray(lead[0] + (1 + (s < n),) + shape, float, a,
+                          start * a.strides[axis], lead[1] + (k0 * a.strides[axis],) + a.strides)
+
+    for k0 in range(1, kmax + 1, block):
+        b = min(block, kmax + 1 - k0)
+        s = n - k0 if spans and 2 * k0 >= n else n
+        if s <= 0:
+            break
+        # radius k0 + r reads table[kmax + k0 + r + 1 :] - table[kmax - k0 - r :]
+        hi = runs(table, kmax + k0 + 1, ((b,), (step,)), k0, s)
+        lo = runs(table, kmax - k0, ((b,), (-step,)), k0, s)
+        part = np.subtract(hi, lo, out=sums[:hi.size].reshape(hi.shape))
+        size = 2.0 * np.arange(k0, k0 + b) + 1.0
+        np.divide(part, size.reshape((b,) + (1,) * (part.ndim - 1)), out=part)
+        dest = runs(out, 0, ((), ()), k0, s)
+        best = part[0] if b == 1 else np.max(part, axis=0, out=top[:dest.size].reshape(dest.shape))
+        np.maximum(dest, best, out=dest)
+    if spans and kmax:
+        np.maximum(out, table[at + (slice(-1, None),)] / (2.0 * kmax + 1.0), out=out)
+    return out
 
 
 def _wrap_ball_means_nd(arr, ks, d, out=None):
@@ -140,9 +222,12 @@ def maximal_space(f):
     the output dominates the input.
     """
     values = _require_real(f.values, "maximal_space input")
+    ladder = _space_radius_ladder(f.grid)
+    if f.grid.d == 1:
+        return Field(f.grid, _dense_ladder_max(values, ladder[-1], axis=-1, wrap=True))
     out = np.full_like(values, -np.inf)
     buf = np.empty_like(out)
-    for means in _wrap_ball_means_nd(values, _space_radius_ladder(f.grid), f.grid.d, out=buf):
+    for means in _wrap_ball_means_nd(values, ladder, f.grid.d, out=buf):
         np.maximum(out, means, out=out)
     return Field(f.grid, out)
 
@@ -155,11 +240,7 @@ def maximal_time(f):
     line.  The ladder is dense: every k from 0 to nt - 1.
     """
     values = _require_real(f.values, "maximal_time input")
-    out = np.full_like(values, -np.inf)
-    buf = np.empty_like(out)
-    for means in _window_means(values, range(values.shape[0]), axis=0, out=buf):
-        np.maximum(out, means, out=out)
-    return replace(f, values=out)
+    return replace(f, values=_dense_ladder_max(values, values.shape[0] - 1, axis=0))
 
 
 def _default_r_ladder(dt, nt):
@@ -177,19 +258,25 @@ def _cylinder_cells(grid, dt, R, delta0):
     return kt, ks
 
 
-def _dilate(arr, grid, kt, ks):
-    """Pointwise sup over cylinder centers whose cylinder contains the point.
+def _time_dilate(arr, kt):
+    """Max of ``arr`` over the time window |s - t| <= kt, clipped to the data.
 
-    A max over the cylinder is a max over its time window of maxima over
-    its ball: one pass along time, -inf beyond the data, then one pass over
-    the periodic ball.
+    A doubling (sparse-table) max over contiguous time slices of a copy
+    padded by -inf: after j doublings row i holds the max of the 2^j rows
+    from i, and two such spans cover each window.
     """
-    if kt:
-        arr = maximum_filter(arr, size=(2 * kt + 1,) + (1,) * grid.d,
-                             mode="constant", cval=-np.inf)
-    if ks:
-        arr = maximum_filter(arr, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
-    return arr
+    nt = arr.shape[0]
+    kt = min(kt, nt - 1)
+    if kt == 0:
+        return arr
+    width = 2 * kt + 1
+    span = np.full((nt + 2 * kt,) + arr.shape[1:], -np.inf)
+    span[kt:kt + nt] = arr
+    reach = 1
+    while 2 * reach <= width:
+        span = np.maximum(span[:-reach], span[reach:])
+        reach *= 2
+    return np.maximum(span[:nt], span[width - reach:width - reach + nt])
 
 
 def _sharp_core(arr, grid, dt, delta0):
@@ -199,7 +286,8 @@ def _sharp_core(arr, grid, dt, delta0):
     The cylinder means are separable: ball means, then clipped time
     windows.  E[g] and E[g^2] ride one stacked array; each distinct space
     radius ks gets its ball means once, and one time table per ks serves
-    every kt that shares it.
+    every kt that shares it.  Each cylinder's oscillation is dilated along
+    time, the max over the kt of one ks then takes one pass over the ball.
     """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
@@ -217,27 +305,22 @@ def _sharp_core(arr, grid, dt, delta0):
         spaces = _wrap_ball_means_nd(pair, list(ladder), grid.d, out=spaced)
     means = np.empty_like(pair)
     osc = np.empty_like(arr)
+    reach = np.empty_like(arr)
     out = np.zeros_like(arr)
     for (ks, kts), space in zip(ladder.items(), spaces):
+        reach.fill(-np.inf)
         for kt, (e1, e2) in zip(kts, _window_means(space, kts, axis=1, clipped=True,
                                                    out=means)):
             np.multiply(e1, e1, out=osc)
             np.subtract(e2, osc, out=osc)
             np.maximum(osc, 0.0, out=osc)
             np.sqrt(osc, out=osc)
-            np.maximum(out, _dilate(osc, grid, kt, ks), out=out)
+            np.maximum(reach, _time_dilate(osc, kt), out=reach)
+        # the ball dilation distributes over max: one pass serves every kt
+        ball = (maximum_filter(reach, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
+                if ks else reach)
+        np.maximum(out, ball, out=out)
     return out
-
-
-def sharp_function(g, delta0):
-    """Parabolic sharp function of a :class:`~paleyscope.squarefn.SquareField`.
-
-    For each radius R = dt * 2^j up to the window length the cylinder spans
-    round(R/dt) time cells and round(R^delta0/h) space cells.  Constants
-    map to zero.
-    """
-    values = _sharp_core(g.values.astype(float), g.grid, g.dt, delta0)
-    return replace(g, values=values)
 
 
 def verify_sharp_bound(sym, eta, f, p, delta0=None):

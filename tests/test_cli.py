@@ -140,6 +140,19 @@ class TestConfig:
         assert err.startswith("error: ") and "grid.n" in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("suite", ["lp-ratio", "sharp-bound", "spde"])
+    def test_corpus_suites_reject_a_window_of_two_slices(self, tmp_path, capsys,
+                                                        suite):
+        # both window ends vanish, so nt = 2 leaves every entry zero
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"symbol": {"family": "fractional", "gamma": 2.0},
+                                    "grid": {"n": 16, "nt": 2}}))
+        out = tmp_path / "out"
+        assert main([suite, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nt must be at least 3" in err
+        assert not any(out.iterdir())
+
     def test_bad_thread_settings_are_usage_errors(self, tmp_path, capsys, cli_config):
         rc = main(["lp-ratio", "--config", str(cli_config),
                    "--out", str(tmp_path), "--threads", "-1"])

@@ -6,18 +6,37 @@ from scipy.ndimage import maximum_filter
 
 import paleyscope as ps
 from paleyscope.cli import build_symbol
+from paleyscope import maximal
 from paleyscope.maximal import (
     _ball_mask,
     _cylinder_cells,
     _default_r_ladder,
-    _dilate,
+    _dense_ladder_max,
     _fs_ratio,
     _mean_removed,
     _sharp_core,
     _space_radius_ladder,
+    _time_dilate,
     _window_means,
     _wrap_ball_means_nd,
 )
+
+
+def _sharp(g, delta0):
+    """The parabolic sharp function of a SquareField, as an array.
+
+    For each radius R = dt * 2^j up to the window length the cylinder spans
+    round(R/dt) time cells and round(R^delta0/h) space cells.
+    """
+    return _sharp_core(g.values, g.grid, g.dt, delta0)
+
+
+def _dilate(arr, grid, kt, ks):
+    """Pointwise sup over the cylinders around each point, as _sharp_core
+    dilates: the time pass, then one pass over the periodic ball."""
+    arr = _time_dilate(arr, kt)
+    return (maximum_filter(arr, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
+            if ks else arr)
 
 
 def _wrap_window_means_1d(arr, k):
@@ -267,7 +286,7 @@ class TestTimeMaximal:
 def _mean_deviation_sharp(g, delta0):
     """Reference: the paper's sharp function, the sup of the mean absolute
     deviation E|g - E[g]| over the cylinders that contain each point, by
-    explicit enumeration of the cylinders of ``sharp_function``'s ladder.
+    explicit enumeration of the cylinders of ``_sharp_core``'s ladder.
     Quadratic in the grid size."""
     arr, grid, nt = g.values, g.grid, g.nt
     out = np.zeros_like(arr)
@@ -289,17 +308,16 @@ class TestSharpFunction:
         grid = ps.SpaceGrid(d=1, n=32, L=20.0)
         g = ps.SquareField(grid=grid, t0=0.0, dt=0.1,
                            values=np.full((16, 32), 2.0))
-        out = ps.sharp_function(g, 0.5)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
+        np.testing.assert_allclose(_sharp(g, 0.5), 0.0, atol=1e-13)
 
     def test_step_oscillates_near_the_jump(self):
         grid = ps.SpaceGrid(d=1, n=64, L=20.0)
         vals = np.zeros((32, 64))
         vals[:, :32] = 1.0
         g = ps.SquareField(grid=grid, t0=0.0, dt=0.05, values=vals)
-        out = ps.sharp_function(g, 0.5)
-        assert np.max(out.values) > 0.1
-        assert np.all(out.values >= 0.0)
+        out = _sharp(g, 0.5)
+        assert np.max(out) > 0.1
+        assert np.all(out >= 0.0)
 
     def test_mean_deviation_below_quadratic_oscillation(self):
         rng = np.random.default_rng(13)
@@ -307,7 +325,7 @@ class TestSharpFunction:
         vals = np.abs(rng.standard_normal((16, 32)))
         g = ps.SquareField(grid=grid, t0=0.0, dt=0.05, values=vals)
         l1 = _mean_deviation_sharp(g, 0.5)
-        l2 = ps.sharp_function(g, 0.5).values
+        l2 = _sharp(g, 0.5)
         assert np.all(l1 <= l2 + 1e-12)
         assert np.all(l1 > 0)
 
@@ -315,8 +333,6 @@ class TestSharpFunction:
     def test_dilation_matches_neighbour_enumeration_in_2d(self, kt, ks):
         # every point takes the max over the cylinders around it: time
         # offsets clipped to the window, space offsets in the periodic ball
-        from paleyscope.maximal import _ball_mask, _dilate
-
         grid = ps.SpaceGrid(d=2, n=8, L=20.0)
         arr = np.random.default_rng(11).standard_normal((8, 8, 8))
         offsets = np.argwhere(_ball_mask(2, ks)) - ks
@@ -383,6 +399,34 @@ class TestSharedTablesAgainstTheOracles:
         arr = _signed_data(d, n, nt, 33)
         np.testing.assert_array_equal(_dilate(arr, grid, kt, ks),
                                       _oracle_dilate(arr, grid, kt, ks))
+
+    @pytest.mark.parametrize("nt", [2, 3, 128])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_time_pass_matches_maximum_filter(self, d, nt):
+        # kt = nt - 1 already spans the data; nt and 3 nt reach past both ends
+        arr = _signed_data(d, 6, nt, 37)
+        for kt in (0, 1, nt - 1, nt, 3 * nt):
+            want = maximum_filter(arr, size=(2 * kt + 1,) + (1,) * d,
+                                  mode="constant", cval=-np.inf)
+            np.testing.assert_array_equal(_time_dilate(arr, kt), want,
+                                          err_msg=f"kt = {kt}")
+
+    @pytest.mark.parametrize("block", [1, 3, 16, 1000])
+    @pytest.mark.parametrize("axis,wrap", [(0, False), (-1, True), (-1, False)])
+    @pytest.mark.parametrize("sign", ["signed", "nonnegative"])
+    def test_blocked_dense_ladders(self, monkeypatch, block, axis, wrap, sign):
+        # radii 0 .. 30 on axes of 7 and 11: blocks of 3 and 16 leave a short
+        # last block, and radii past the axis tile the circle or reach past
+        # both ends
+        arr = _signed_data(1, 11, 7, 38)
+        if sign == "nonnegative":
+            arr = np.abs(arr)
+        monkeypatch.setattr(maximal, "_BLOCK_BYTES", block * arr.nbytes)
+        for kmax in (0, 1, 6, 10, 30):
+            want = _oracle_maximal(arr, range(kmax + 1), lambda v, ks: _oracle_window_means(
+                v, ks, axis, wrap=wrap))
+            np.testing.assert_array_equal(_dense_ladder_max(arr, kmax, axis, wrap=wrap),
+                                          want, err_msg=f"kmax = {kmax}")
 
     @pytest.mark.parametrize("axis", [0, 1, -1])
     @pytest.mark.parametrize("wrap,clipped", [(True, False), (False, False),
@@ -502,7 +546,7 @@ class TestSharpBoundRatios:
         G = ps.square_function(sym, eta, f)
         density = ps.Field(grid, np.sum(np.abs(f.values) ** 2, axis=1))
         w = ps.maximal_time(ps.maximal_space(density)).values
-        sharp = ps.sharp_function(G, delta0).values
+        sharp = _sharp(G, delta0)
         want = np.max(np.where(w > 0, sharp / np.sqrt(np.where(w > 0, w, 1.0)), 0.0))
         assert sup == pytest.approx(want, rel=1e-13)
         assert fs == ps.fefferman_stein_check(G, 3.0, delta0)

@@ -243,6 +243,58 @@ class TestSupportRoute:
         _assert_routes_match_reference(sym, sym.order / 2, f)
 
 
+def _oracle_support_route(prop, eta):
+    """The support route step by step: per time, the gain e e^*, the channel
+    sum a a^* and one scatter of the carried covariance."""
+    g = prop.grid
+    size = g.n ** g.d
+    nt = prop.fhat.shape[0]
+    keep, e = prop.support, prop.step
+    a = prop.held(prop.columns(ps.fractional_multiplier(g, eta) * g.inverse_factor))
+    modes = np.unravel_index(keep, g.shape)
+    delta = np.ravel_multi_index([(ax[:, None] - ax[None, :]) % g.n for ax in modes],
+                                 g.shape)
+    slots = (2 * delta[..., None] + np.arange(2)).ravel()
+    scattered = np.zeros((nt, 2 * size))
+    carried = np.zeros((keep.size,) * 2, dtype=complex)
+    for i in range(1, nt):
+        carried *= np.multiply.outer(e[i - 1], e[i - 1].conj())
+        carried += np.einsum("ka,kb->ab", a[i - 1], a[i - 1].conj())
+        scattered[i] = np.bincount(slots, weights=carried.view(float).ravel(),
+                                   minlength=2 * size)
+    axes = tuple(range(-g.d, 0))
+    sq = np.fft.ifftn(scattered.view(complex).reshape((nt,) + g.shape),
+                      axes=axes).real / size
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+class TestSupportRouteAgainstTheStepLoop:
+    """The chunked support route holds the bits of the step-by-step loop."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("entry", [0, 1], ids=["K1", "K3"])
+    @pytest.mark.parametrize("support", ["narrow", "full"])
+    @pytest.mark.parametrize("steps", [1, 5, None], ids=["chunk1", "chunk5", "default"])
+    def test_array_equal(self, monkeypatch, d, entry, support, steps):
+        # 12 times take 11 steps: chunks of 5 leave a short last chunk
+        sym = two_piece_families(d)[1]
+        grid = ps.SpaceGrid(d=d, n=16, L=12.0)
+        f = ps.corpus_entry(grid, 12, entry, t_window=0.77)
+        if support == "full":
+            rng = np.random.default_rng(40 + d)
+            noise = rng.standard_normal(f.values.shape) + 1j * rng.standard_normal(
+                f.values.shape)
+            f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=f.dt, values=f.values + noise)
+        prop = ps.Propagator(sym, f)
+        assert f.k_h == (1 if entry == 0 else 3)
+        assert (prop.support.size == grid.n ** d) == (support == "full")
+        if steps is not None:
+            monkeypatch.setattr(squarefn, "_CHUNK_BYTES", steps * 16 * prop.support.size ** 2)
+        eta = sym.order / 2
+        np.testing.assert_array_equal(squarefn._support_route(prop, eta),
+                                      _oracle_support_route(prop, eta))
+
+
 class TestParsevalNorm:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", [0, 1, 2],
@@ -370,20 +422,43 @@ class TestEllipticRatio:
             ps.elliptic_square_function(f, 2.0, 2.0)
 
 
+def scaling_check(sym, f, c):
+    """Relative discrepancy of G under the parabolic rescaling of order gamma.
+
+    Rescaling space by 1/c and time by c^(-gamma) maps the grid (L, dt, t0)
+    to (L/c, dt/c^gamma, t0/c^gamma) while keeping the same value array; the
+    square function is invariant under this map because the kernel picks up
+    c^(gamma/2) per amplitude while the time measure contributes c^(-gamma),
+    which cancel inside the square root.  Requires a time-independent
+    single-piece symbol so the rescaled symbol equals the original.
+    """
+    if not getattr(sym, "time_independent", False):
+        raise ValueError("scaling check requires a time-independent symbol")
+    gamma = sym.order
+    eta = gamma / 2.0
+    g = f.grid
+    G1 = ps.square_function(sym, eta, f)
+    g2 = ps.SpaceGrid(d=g.d, n=g.n, L=g.L / c)
+    f2 = ps.SpaceTimeField(grid=g2, t0=f.t0 / c ** gamma, dt=f.dt / c ** gamma,
+                           values=f.values)
+    G2 = ps.square_function(sym, eta, f2)
+    return float(np.max(np.abs(G2.values - G1.values)) / np.max(G1.values))
+
+
 class TestScalingCheck:
     def test_identity_rescale_is_exact(self, grid, heat):
         f = ps.corpus_entry(grid, 16, 0)
-        assert ps.scaling_check(heat, f, 1.0) == 0.0
+        assert scaling_check(heat, f, 1.0) == 0.0
 
     @pytest.mark.parametrize("gamma", [1.0, 2.0])
     def test_parabolic_covariance(self, grid, gamma):
         sym = ps.FractionalSymbol(gamma=gamma, a=1.0, nu=0.5)
         f = ps.corpus_entry(grid, 16, 0)
-        assert ps.scaling_check(sym, f, 2.0) < 1e-13
+        assert scaling_check(sym, f, 2.0) < 1e-13
 
     def test_time_dependent_symbol_rejected(self, grid):
         sym = ps.FractionalSymbol(
             gamma=2.0, a=([0.0, 0.5], [1.0, 1.5]), nu=0.5)
         f = ps.corpus_entry(grid, 16, 0)
         with pytest.raises(ValueError):
-            ps.scaling_check(sym, f, 2.0)
+            scaling_check(sym, f, 2.0)
