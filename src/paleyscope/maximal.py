@@ -334,8 +334,8 @@ def verify_sharp_bound(sym, eta, f, p, delta0=None):
     1/gamma for the symbol's homogeneity order gamma, matching the
     cylinders the estimate is stated for.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must be finite and exceed 1")
     if delta0 is None:
         delta0 = 1.0 / sym.order
     h0 = _mean_removed(square_function(sym, eta, f).values)
@@ -354,8 +354,8 @@ def fefferman_stein_check(h, p, delta0):
     The global grid mean is removed first because discrete periodic
     constants have zero sharp function; a constant input is degenerate.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < np.inf:
+        raise ValueError("p must be finite and exceed 1")
     h0 = _mean_removed(h.values.astype(float))
     sharp = _sharp_core(h0, h.grid, h.dt, delta0)
     return _fs_ratio(h0, sharp, p, h.grid.h ** h.grid.d * h.dt)

@@ -26,7 +26,11 @@ paths against their backward cumulative products e_{j+2} ... e_i.  When
 every time is needed, as for the moment check, the same sum is carried
 forward by the recursion
 
-    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k sqrt(W_{i-1} / dt) fhat^k(s_{i-1}) dW^k_{i-1}.
+    u_hat(t_i) = u_hat(t_{i-1}) e_i + sum_k sqrt(W_{i-1} / dt) fhat^k(s_{i-1}) dW^k_{i-1},
+
+whose sums over k are formed a time chunk at a time by one batched
+``matmul`` and carried by :func:`~paleyscope.spectral._carry`, the one
+recurrence on the step factors that the square-function routes share.
 
 The ensemble routes run on the m columns of the forcing's spectral
 support, where the Propagator holds fhat, e and W, since u_hat vanishes
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Propagator, fractional_multiplier, to_space
+from .spectral import Propagator, _carry, _chunk_steps, fractional_multiplier, to_space
 from .squarefn import DegenerateFieldError, _norms, lp_space_time_norm
 
 __all__ = [
@@ -80,8 +84,11 @@ class NoiseSpec:
 class MomentEstimate:
     """A Monte Carlo estimate with its standard error and sample count.
 
-    ``majorant`` carries the deterministic square-function pathway value
-    when the check computes one.
+    ``majorant``, when the check computes one, is the deterministic
+    square-function value (||G f||_p / ||f||_p)^p.  Despite its name it is a
+    *lower* bound on the expectation of ``value``: E|D^eta u|^2 = (G f)^2 at
+    every point, and Jensen gives E|Z|^p >= (E|Z|^2)^(p/2) for p >= 2, with
+    equality at p = 2.
     """
 
     value: float
@@ -179,17 +186,23 @@ def _convolved_slices(prop):
 def _advance(step, drive, dw):
     """Yield u_hat(t_i), i = 1 .. nt - 1, of every path in the block ``dw``.
 
-    u_hat(t_i) = e_i u_hat(t_{i-1}) + sum_k dW[:, k, i-1] drive[i-1, k] from
-    u_hat(t_0) = 0, with e_i in ``step`` row i - 1 and the held slices
-    sqrt(W_j / dt) fhat_j in ``drive``, over the mode axes the two share.
+    u_hat(t_i) = u_hat(t_{i-1}) e_i + sum_k dW[:, k, i-1] drive[i-1, k] from
+    u_hat(t_0) = 0, with e_i in ``step`` row i - 1, shape (nt - 1, m), and
+    the held slices sqrt(W_j / dt) fhat_j in ``drive``, shape (nt - 1, K, m).
     It carries the sum :func:`simulate_ensemble` contracts at one time, at
-    O(M * K) per mode and step whatever nt is.  The yielded array is
-    replaced, not modified, by the next step.
+    O(M * K) per mode and step whatever nt is.  Time runs in chunks sized
+    by :func:`~paleyscope.spectral._chunk_steps`: one batched ``matmul``
+    forms a chunk's sums over k, and :func:`~paleyscope.spectral._carry`
+    carries them.  The yielded array is not modified by later steps.
     """
     u = np.zeros(dw.shape[:1] + step.shape[1:], dtype=complex)
-    for j, row in enumerate(drive):
-        u = step[j] * u + np.tensordot(dw[:, :, j], row, axes=1)
-        yield u
+    steps = len(drive)
+    chunk = _chunk_steps(u, steps)
+    for j0 in range(0, steps, chunk):
+        j1 = min(j0 + chunk, steps)
+        kicks = np.matmul(dw[:, :, j0:j1].transpose(2, 0, 1), drive[j0:j1])
+        yield from _carry(step[j0:j1, None], kicks, u)
+        u = kicks[-1]
 
 
 def _point(grid, x_index):
@@ -267,16 +280,18 @@ def moment_bound_check(sym, f, spec, M, p, derivative_order):
     derivative order (applied as the Riesz multiplier |xi|^eta); ``majorant``
     reports the deterministic square-function pathway (||G f||_p/||f||_p)^p
     with the same eta, as :func:`~paleyscope.squarefn.lp_ratio` forms it
-    (without G at p = 2), from the propagator the paths use.  All M paths
-    are advanced together by :func:`_advance` on the support columns, one
-    time step at a time, from a single increment block; each step puts
-    them on the grid (``Propagator.to_grid``) for its one inverse
-    transform, and every step reuses the same buffers for the scatter, the
-    transform and |.|^p.
+    (without G at p = 2), from the propagator the paths use.  Since
+    E|D^eta u|^2 = (G f)^2 pointwise, Jensen makes the majorant a lower
+    bound on the expectation of ``value`` for p >= 2, equal to it at
+    p = 2; the name is kept for the callers that read it.  All M paths
+    are advanced together by :func:`_advance` on the support columns from
+    a single increment block; each time puts them on the grid
+    (``Propagator.to_grid``) for its one inverse transform, and every time
+    reuses the same buffers for the scatter, the transform and |.|^p.
     """
     _check_paths(M)
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not 2 <= p < np.inf:
+        raise ValueError("p must be finite and at least 2")
     if derivative_order < 0:
         raise ValueError("derivative order must be nonnegative")
     _check_compatible(f, spec)

@@ -17,7 +17,8 @@ before ``ifftn``.  With this normalization Parseval reads
 Kernel multipliers K_hat(t, s, xi) = |xi|^eta exp(int_s^t psi(r, xi) dr) are
 synthesized exactly from the piecewise-constant symbols of
 :mod:`paleyscope.symbols`.  A :class:`Propagator` holds that evolution for
-one space-time field on the modes where the field lives.
+one space-time field on the modes where the field lives, and :func:`_carry`
+is the one recurrence that advances data by its step factors.
 """
 
 from __future__ import annotations
@@ -248,6 +249,33 @@ def _cell_weights(sym, times, xi):
     lengths = _piece_overlaps(breaks, times[:-1], times[1:])[::-1]
     lengths = lengths.reshape(lengths.shape + (1,) * (vals.ndim - 1))
     return _decay_integral(-2.0 * lengths * vals.real[::-1, None], lengths)
+
+
+# bytes of carried blocks one time chunk of a recurrence forms in one call:
+# 64 steps of an 8 x 8 complex block, one step once a block is that large
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunk_steps(block, steps):
+    """Steps per time chunk for carried arrays like ``block``: as many as
+    :data:`_CHUNK_BYTES` holds, at least 1 and at most ``steps``."""
+    return max(1, min(steps, _CHUNK_BYTES // max(block.nbytes, 1)))
+
+
+def _carry(gain, drive, start):
+    """X_r = X_{r-1} * gain[r] + drive[r] along the first axis from X_{-1} = start.
+
+    The one place a recurrence advances by the step factors e_i: each route
+    forms its gains and drives for a run of steps in whole-array calls and
+    carries them here.  ``gain[r]`` broadcasts against ``drive[r]``.  The X_r
+    are written over ``drive``, which is returned.  Each step is one product
+    with its operands in this order (complex products are not commutative
+    bit for bit) and one sum, so the bits are those of a per-step loop.
+    """
+    for r in range(len(drive)):
+        drive[r] += start * gain[r]
+        start = drive[r]
+    return drive
 
 
 class Propagator:

@@ -11,7 +11,9 @@ kernel over the cell exactly per mode, so G(t_i) reads the slices j < i.
 Both routes read what a Propagator holds on the m modes where f lives.
 With m^2 <= nt n^d, G is carried as an m x m covariance on those modes
 and inverse-transformed once; otherwise every carried row goes back on
-the grid and is inverse-transformed at every step.  The empirical ratio
+the grid and is inverse-transformed at every step.  The covariance, and
+the Parseval sum that gives ||G f||_2 without forming G, advance by the
+step factors through :func:`~paleyscope.spectral._carry`.  The empirical ratio
 ||G f||_p / || |f|_H ||_p is the quantity the L_p theory bounds uniformly in f.
 """
 
@@ -25,6 +27,8 @@ from .spectral import (
     Propagator,
     SpaceGrid,
     SpaceTimeField,
+    _carry,
+    _chunk_steps,
     _fft_axes,
     fractional_multiplier,
     to_frequency,
@@ -138,10 +142,6 @@ def _square_values(prop, eta):
     return route(prop, eta)
 
 
-# bytes of m x m step blocks the support route forms in one call
-_CHUNK_BYTES = 1 << 16
-
-
 def _support_route(prop, eta):
     """G f values by the covariance recursion on ``prop.support``.
 
@@ -152,10 +152,12 @@ def _support_route(prop, eta):
     with D(delta) the sum of the carried covariance over the pairs (a, b) of
     support modes with a - b = delta (mod n per axis).
 
-    Time runs in chunks of steps sized by :data:`_CHUNK_BYTES`.  Each chunk
-    forms its gains e e^* and channel sums A = sum_k a a^* in whole-array
-    calls, carries P_i = P_{i-1} * gain + A step by step, and scatters all
-    its times in one fixed-order ``bincount`` with a slot offset per time.
+    Time runs in chunks of steps sized by
+    :func:`~paleyscope.spectral._chunk_steps`.  Each chunk forms its gains
+    e e^* and channel sums A = sum_k a a^* in whole-array calls, carries
+    P_i = P_{i-1} * gain + A with :func:`~paleyscope.spectral._carry`, and
+    scatters all its times in one fixed-order ``bincount`` with a slot
+    offset per time.
     A small support (m = 8 on the corpus at d = 1) takes 64 steps per
     chunk; at m = 80 (d = 2) a chunk is one step, where each call is
     already large.  No call threads, and every product and sum keeps
@@ -174,7 +176,7 @@ def _support_route(prop, eta):
     slots = (2 * delta[..., None] + np.arange(2)).ravel()
     scattered = np.zeros((nt, 2 * size))
     carried = np.zeros((keep.size,) * 2, dtype=complex)
-    chunk = max(1, min(nt - 1, _CHUNK_BYTES // max(carried.nbytes, 1)))
+    chunk = _chunk_steps(carried, nt - 1)
     # slots of the chunk's r-th time, offset by r rows of the scatter
     at = ((2 * size * np.arange(chunk))[:, None] + slots).ravel()
     e_bar, a_bar = e.conj(), a.conj()
@@ -184,9 +186,7 @@ def _support_route(prop, eta):
         c = min(chunk, nt - 1 - j0)
         np.multiply(e[j0:j0 + c, :, None], e_bar[j0:j0 + c, None, :], out=gain[:c])
         drive = np.einsum("jka,jkb->jab", a[j0:j0 + c], a_bar[j0:j0 + c])
-        for r in range(c):
-            np.add(np.multiply(carried, gain[r], out=gain[r]), drive[r], out=drive[r])
-            carried = drive[r]
+        carried = _carry(gain[:c], drive, carried)[-1]
         scattered[j0 + 1:j0 + c + 1] = np.bincount(
             at[:slots.size * c], weights=drive.view(float).ravel(),
             minlength=2 * size * c).reshape(c, 2 * size)
@@ -225,20 +225,17 @@ def _l2(prop, eta):
         ||G f||_2^2 = dt / L^d sum_{i >= 1} sum_xi |xi|^(2 eta) B_i,
         B_i = sum_{j < i} |exp(I[i] - I[j+1])|^2 W_j q_j.
 
-    B obeys B_i = |e_i|^2 B_{i-1} + W_{i-1} q_{i-1} on the m modes of the
-    propagator's ``support``, so this is the space-time 2-norm of
-    :func:`square_function` rearranged, equal to it up to rounding.
+    B obeys B_i = B_{i-1} |e_i|^2 + W_{i-1} q_{i-1} on the m modes of the
+    propagator's ``support``, carried for all i in one
+    :func:`~paleyscope.spectral._carry` call and summed over i, so this is
+    the space-time 2-norm of :func:`square_function` rearranged, equal to
+    it up to rounding.
     """
     g = prop.grid
     q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
-    gain = np.abs(prop.step) ** 2
-    B = np.zeros(q.shape[1:])
-    total = np.zeros(q.shape[1:])
-    for i in range(1, q.shape[0]):
-        B = gain[i - 1] * B + prop.weight[i - 1] * q[i - 1]
-        total += B
+    B = _carry(np.abs(prop.step) ** 2, prop.weight * q[:-1], 0.0)
     riesz = prop.columns(fractional_multiplier(g, eta))
-    return float(np.sqrt(prop.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
+    return float(np.sqrt(prop.dt / g.L ** g.d * np.sum(riesz ** 2 * np.sum(B, axis=0))))
 
 
 def _lp_nd(values, h_d, dt, p):
@@ -251,8 +248,8 @@ def lp_space_time_norm(g, p):
 
     Accepts a SquareField (scalar) or a SpaceTimeField (takes |.|_H first).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and at least 1")
     if isinstance(g, SquareField):
         mag = g.values
         grid, dt = g.grid, g.dt
@@ -321,8 +318,8 @@ def elliptic_square_function(f, gamma, p):
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < np.inf:
+        raise ValueError("p must be finite and at least 1")
     g = f.grid
     h_d = g.h ** g.d
     fhat = to_frequency(f)

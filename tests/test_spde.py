@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import spde
+from paleyscope import spde, spectral
 
 from conftest import (
     cell_weights,
@@ -164,7 +164,41 @@ class TestNoise:
             ps.NoiseSpec(K=1, seed=1, dt=0.1, nt=1)
 
 
+def _advance_loop(step, drive, dw):
+    """u_hat(t_i), i = 1 .. nt - 1, one step at a time, each with its own
+    contraction over k."""
+    u, rows = 0.0, []
+    for j, row in enumerate(drive):
+        u = step[j] * u + np.tensordot(dw[:, :, j], row, axes=1)
+        rows.append(u)
+    return np.array(rows)
+
+
 class TestSolution:
+    @pytest.mark.parametrize("entry", [0, 1], ids=["K1", "K3"])
+    @pytest.mark.parametrize("steps", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    def test_chunks_hold_the_step_loop(self, monkeypatch, grid, heat, entry, steps):
+        # 12 times take 11 steps: chunks of 3 leave a short last chunk; a
+        # real symbol gives real step factors, the complex coefficient not
+        f = ps.corpus_entry(grid, 12, entry)
+        M = 4
+        dw = _fresh_block(ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=12), M)
+        swirl = ps.FractionalSymbol(gamma=2.0, a=([0.0, 0.5], [1.0, 1.5 + 0.2j]), nu=0.5)
+        for sym in (heat, swirl):
+            prop = ps.Propagator(sym, f)
+            if steps is not None:
+                # the carried block is M x m complex
+                monkeypatch.setattr(spectral, "_CHUNK_BYTES",
+                                    steps * 16 * M * prop.support.size)
+            drive = prop.held(1 / np.sqrt(prop.dt))
+            got = np.array(list(spde._advance(prop.step, drive, dw)))
+            want = _advance_loop(prop.step, drive, dw)
+            if sym is heat:
+                assert np.all(prop.step.imag == 0)
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14)
+
     def test_starts_at_rest(self, heat, forcing, spec):
         # u(t_0) = 0, so the first step is the drive of slice 0 alone
         prop = ps.Propagator(heat, forcing)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
+from paleyscope import spde, spectral, squarefn
 
 from conftest import grid_arrays, two_piece_families
 
@@ -152,6 +153,63 @@ class TestTransforms:
         flat = back.reshape(12, 3, -1)
         assert np.all(flat[..., off] == 0.0)
         np.testing.assert_array_equal(prop.columns(back), prop.fhat)
+
+
+def _carry_loop(gain, drive, start):
+    """X_r = X_{r-1} * gain[r] + drive[r] one step at a time, into a new array."""
+    rows, x = [], start
+    for g, b in zip(gain, drive):
+        x = x * g + b
+        rows.append(x)
+    return np.array(rows).reshape(drive.shape)
+
+
+class TestCarry:
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    @pytest.mark.parametrize("start", ["zero", "given"])
+    def test_array_equal_to_the_step_loop(self, kind, steps, start):
+        # a gain row (1, m) broadcasts against each drive row (M, m)
+        rng = np.random.default_rng(steps)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind is complex else x
+
+        gain, drive = draw((steps, 1, 5)), draw((steps, 4, 5))
+        x0 = draw((4, 5)) if start == "given" else 0.0
+        want = _carry_loop(gain, drive, x0)
+        got = spectral._carry(gain, drive, x0)
+        assert got is drive
+        np.testing.assert_array_equal(got, want)
+
+    def test_every_carried_route_calls_it(self, monkeypatch, heat):
+        # each module's binding of the one recurrence is wrapped, so a route
+        # that carries its own loop again shows up as a missing call
+        calls = []
+        original = spectral._carry
+
+        def counted(gain, drive, start):
+            calls.append(drive.shape)
+            return original(gain, drive, start)
+
+        bound = [m for m in (spectral, squarefn, spde) if m._carry is original]
+        assert bound == [spectral, squarefn, spde]
+        for module in bound:
+            monkeypatch.setattr(module, "_carry", counted)
+        grid = ps.SpaceGrid(d=1, n=64, L=20.0)
+        f = ps.corpus_entry(grid, 16, 1)
+        m = ps.Propagator(heat, f).support.size
+        assert m * m <= f.nt * grid.n   # the support route
+        spec = ps.NoiseSpec(K=f.k_h, seed=3, dt=f.dt, nt=f.nt)
+        # the carried block per step: P (m, m), B (m,) and the paths (M, m)
+        for run, block in ((lambda: ps.square_function(heat, 1.0, f), (m, m)),
+                           (lambda: ps.lp_ratio(heat, 1.0, f, 2.0), (m,)),
+                           (lambda: ps.moment_bound_check(heat, f, spec, M=3, p=2.0,
+                                                          derivative_order=1.0), (3, m))):
+            calls.clear()
+            run()
+            assert block in [shape[1:] for shape in calls]
 
 
 class TestMultipliers:

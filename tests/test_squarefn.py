@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import paleyscope as ps
-from paleyscope import squarefn
+from paleyscope import spectral, squarefn
 
 from conftest import (
     cell_weights,
@@ -289,13 +289,39 @@ class TestSupportRouteAgainstTheStepLoop:
         assert f.k_h == (1 if entry == 0 else 3)
         assert (prop.support.size == grid.n ** d) == (support == "full")
         if steps is not None:
-            monkeypatch.setattr(squarefn, "_CHUNK_BYTES", steps * 16 * prop.support.size ** 2)
+            monkeypatch.setattr(spectral, "_CHUNK_BYTES", steps * 16 * prop.support.size ** 2)
         eta = sym.order / 2
         np.testing.assert_array_equal(squarefn._support_route(prop, eta),
                                       _oracle_support_route(prop, eta))
 
 
+def _oracle_l2(prop, eta):
+    """||G f||_2 by Parseval step by step: B_i = |e_i|^2 B_{i-1} + W_{i-1} q_{i-1},
+    summed over time as it is carried."""
+    g = prop.grid
+    q = np.sum(np.abs(prop.fhat) ** 2, axis=1)
+    gain = np.abs(prop.step) ** 2
+    B = np.zeros(q.shape[1:])
+    total = np.zeros(q.shape[1:])
+    for i in range(1, q.shape[0]):
+        B = gain[i - 1] * B + prop.weight[i - 1] * q[i - 1]
+        total += B
+    riesz = prop.columns(ps.fractional_multiplier(g, eta))
+    return float(np.sqrt(prop.dt / g.L ** g.d * np.sum(riesz ** 2 * total)))
+
+
 class TestParsevalNorm:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [0, 1, 2],
+                             ids=["fractional", "polyform", "levy"])
+    @pytest.mark.parametrize("entry", [0, 1], ids=["K1", "K3"])
+    def test_array_equal_to_the_step_loop(self, d, family, entry):
+        sym = two_piece_families(d)[family]
+        grid = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        prop = ps.Propagator(sym, ps.corpus_entry(grid, 24, entry, t_window=0.77))
+        for eta in (0.0, sym.order / 2):
+            assert squarefn._l2(prop, eta) == _oracle_l2(prop, eta)
+
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", [0, 1, 2],
                              ids=["fractional", "polyform", "levy"])
@@ -399,6 +425,29 @@ class TestNorms:
             grid=grid, t0=0.0, dt=0.1, values=np.zeros((4, 1, 64), complex))
         with pytest.raises(ps.DegenerateFieldError):
             ps.lp_ratio(heat, 1.0, f, 2.0)
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    @pytest.mark.parametrize("entry", ["lp_space_time_norm", "lp_ratio",
+                                       "moment_bound_check", "verify_sharp_bound",
+                                       "fefferman_stein_check",
+                                       "elliptic_square_function"])
+    def test_non_finite_p_refused(self, grid, heat, entry, p):
+        # at p = inf the norms and ratios read 1.0, at nan the checks NaN
+        f = ps.corpus_entry(grid, 16, 1)
+        calls = {
+            "lp_space_time_norm": lambda: ps.lp_space_time_norm(f, p),
+            "lp_ratio": lambda: ps.lp_ratio(heat, 1.0, f, p),
+            "moment_bound_check": lambda: ps.moment_bound_check(
+                heat, f, ps.NoiseSpec(K=3, seed=1, dt=f.dt, nt=16), M=2, p=p,
+                derivative_order=1.0),
+            "verify_sharp_bound": lambda: ps.verify_sharp_bound(heat, 1.0, f, p),
+            "fefferman_stein_check": lambda: ps.fefferman_stein_check(
+                ps.square_function(heat, 1.0, f), p, 0.5),
+            "elliptic_square_function": lambda: ps.elliptic_square_function(
+                ps.Field(grid, f.values[8]), 1.0, p),
+        }
+        with pytest.raises(ValueError, match="p must be finite"):
+            calls[entry]()
 
 
 class TestEllipticRatio:
