@@ -379,10 +379,12 @@ def _suite_lp_ratio(cfg, out_dir):
 def _suite_sharp_bound(cfg, out_dir, threads):
     sym = _suite_symbol(cfg, "sharp-bound")
     grid = cfg.grid
-    fields = _corpus(cfg)
-    p_fs = cfg.p_list[0] if cfg.p_list and cfg.p_list[0] > 1 else 2.0
+    p_fs = cfg.p_list[0] if cfg.p_list[0] > 1 else 2.0
+    # each task builds its own entry: an entry is keyed (seed, index) alone
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda f: verify_sharp_bound(sym, cfg.eta, f, p_fs), fields))
+        results = list(pool.map(
+            lambda i: verify_sharp_bound(sym, cfg.eta, _corpus(cfg, i), p_fs),
+            range(cfg.corpus["count"])))
     rows = []
     ok = True
     for ratio, fs in results:

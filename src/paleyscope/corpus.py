@@ -6,12 +6,13 @@ coefficients on the integer frequency lattice |j|_inf <= JMAX (zero mode
 excluded) weighted by a Gaussian envelope plus a flat noise floor, and a
 smooth time profile that vanishes at both window ends.
 
-Coefficients are synthesized by direct exponential sums on the grid, so a
-corpus entry evaluated at n = 64 and n = 128 is the same trigonometric
-polynomial sampled at different points: grid norms and diagonal-operator
-outputs agree to rounding, which is what the refinement-stability checks
-exploit.  The draw order is fixed and keyed by (seed, index) through a
-counter-based generator, making every entry reproducible in isolation.
+Coefficients are placed on their grid modes, which n > 2 JMAX keeps apart,
+and transformed back by ``to_space``, so a corpus entry evaluated at n = 64
+and n = 128 is the same trigonometric polynomial sampled at different
+points: grid norms and diagonal-operator outputs agree to rounding, which
+is what the refinement-stability checks exploit.  The draw order is fixed
+and keyed by (seed, index) through a counter-based generator, making every
+entry reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .spectral import SpaceGrid, SpaceTimeField
+from .spectral import SpaceGrid, SpaceTimeField, to_space
 
 __all__ = ["make_corpus", "corpus_entry", "DEFAULT_SEED"]
 
@@ -28,13 +29,6 @@ DEFAULT_SEED = 20260816
 JMAX = 4              # frequency band |j|_inf <= JMAX
 TERMS = 2             # bumps per channel
 K_H_CYCLE = (1, 3)    # channel counts, cycled with the entry index
-
-
-def _mode_lattice(d):
-    """Integer frequency multi-indices with |j|_inf <= JMAX, zero excluded."""
-    axis = range(-JMAX, JMAX + 1)
-    modes = [j for j in itertools.product(*([axis] * d)) if any(j)]
-    return np.array(modes, dtype=float)
 
 
 def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
@@ -52,35 +46,38 @@ def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
     if grid.n <= 2 * JMAX:
         raise ValueError(f"the corpus band |j| <= {JMAX} needs grid.n > {2 * JMAX}, "
                          f"got {grid.n}")
+    for name, value in (("index", index), ("seed", seed)):
+        if not 0 <= value < 2 ** 64:   # a uint64 word of the Philox key
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     k_h = K_H_CYCLE[index % len(K_H_CYCLE)]
-    modes = _mode_lattice(grid.d)
+    # the frequency lattice |j|_inf <= JMAX, zero excluded
+    modes = np.array([j for j in itertools.product(range(-JMAX, JMAX + 1), repeat=grid.d)
+                      if any(j)])
     xi = 2 * np.pi * modes / grid.L                     # (n_modes, d)
-    x = grid.x_axis()
+    cells = tuple((modes % grid.n).T)                   # their grid modes
     dt = t_window / (nt - 1)
     tau = np.arange(nt) / (nt - 1)
-    vals = np.zeros((nt, k_h) + grid.shape, dtype=complex)
+    # term spectra on their grid modes: L^d c_j exp(-i k_j . x0), the
+    # Fourier coefficients of sum_j c_j exp(i k_j . (x - x0))
+    spectra = np.zeros((k_h, TERMS) + grid.shape, dtype=complex)
+    profiles = np.empty((nt, k_h, TERMS), dtype=complex)
     for ch in range(k_h):
-        for _ in range(TERMS):
+        for t in range(TERMS):
             width = rng.uniform(0.8, 1.6)
             x0 = rng.uniform(-grid.L / 4, grid.L / 4, size=grid.d)
             envelope = np.exp(-(width * np.linalg.norm(xi, axis=-1)) ** 2 / 2) + 0.3
             coeff = (rng.standard_normal(len(modes))
                      + 1j * rng.standard_normal(len(modes))) * envelope
             cq = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            profile = np.sin(np.pi * tau) ** 2 * (
+            profiles[:, ch, t] = np.sin(np.pi * tau) ** 2 * (
                 1.0 + 0.5 * sum(cq[q] * np.exp(2j * np.pi * (q + 1) * tau)
                                 for q in range(3)))
-            spatial = np.zeros(grid.shape, dtype=complex)
-            for c, k in zip(coeff, xi):
-                wave = np.ones(grid.shape, dtype=complex)
-                for ax in range(grid.d):
-                    axis_wave = np.exp(1j * k[ax] * (x - x0[ax]))
-                    shape = [1] * grid.d
-                    shape[ax] = grid.n
-                    wave = wave * axis_wave.reshape(shape)
-                spatial += c * wave
-            vals[:, ch] += profile.reshape((nt,) + (1,) * grid.d) * spatial
+            spectra[(ch, t) + cells] = (grid.L ** grid.d * coeff
+                                         * np.exp(-1j * (xi * x0).sum(axis=-1)))
+    spatial = to_space(grid, spectra, out=spectra).reshape(k_h, TERMS, -1)
+    # a fixed-order sum over the terms: no BLAS, so no bit depends on thread counts
+    vals = np.einsum("tcj,cjx->tcx", profiles, spatial).reshape((nt, k_h) + grid.shape)
     # sin(pi) is not exactly zero in floats; the window ends must be
     vals[0] = 0.0
     vals[-1] = 0.0

@@ -196,7 +196,7 @@ class PolyFormSymbol(_TimeSymbol):
     """psi(t, xi) = -sum over multi-index pairs of a^{ab}(t) xi^{alpha+beta}.
 
     ``coeffs`` maps ``(alpha, beta)`` pairs of multi-indices (tuples of
-    nonnegative ints with |alpha| = |beta| = m) to piecewise-constant time
+    1 or 2 nonnegative ints with |alpha| = |beta| = m) to piecewise-constant time
     coefficients.  Coefficient tables with different breakpoints are merged
     onto their common refinement, which is exact for piecewise-constant data.
 
@@ -229,6 +229,8 @@ class PolyFormSymbol(_TimeSymbol):
                 raise ValueError("multi-indices must satisfy |alpha| = |beta| = m")
             pairs.append((alpha, beta))
             tables.append(_as_pieces(tab))
+        if d not in (1, 2):
+            raise ValueError("PolyFormSymbol supports multi-indices of dimension 1 or 2")
         breaks = np.unique(np.concatenate([b for b, _ in tables]))
         merged = np.empty((len(breaks), len(pairs)), dtype=complex)
         for r, (b, v) in enumerate(tables):
@@ -246,12 +248,8 @@ class PolyFormSymbol(_TimeSymbol):
     def _unit_vectors(self):
         if self.dim == 1:
             return np.array([[1.0], [-1.0]])
-        if self.dim == 2:
-            th = 2 * np.pi * np.arange(self._UNIT_SAMPLES) / self._UNIT_SAMPLES
-            return np.stack([np.cos(th), np.sin(th)], axis=-1)
-        rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
-        u = rng.standard_normal((64, self.dim))
-        return u / np.linalg.norm(u, axis=-1, keepdims=True)
+        th = 2 * np.pi * np.arange(self._UNIT_SAMPLES) / self._UNIT_SAMPLES
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def _check_form(self):
         u = self._unit_vectors()

@@ -432,6 +432,23 @@ class TestSuites:
         # four corpus entries, one sharp function each for both ratios
         assert len(seen) == 4
 
+    def test_sharp_bound_builds_each_entry_in_its_task(self, tmp_path, cli_config,
+                                                       monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "make_corpus", lambda *a, **kw: built.append(a))
+        rc = main(["sharp-bound", "--config", str(cli_config),
+                   "--out", str(tmp_path), "--threads", "2"])
+        assert rc == 0 and built == []
+        cfg = load_config(cli_config)
+        want = [[cli._fmt(v) for v in ps.verify_sharp_bound(
+                    cfg.symbol, cfg.eta,
+                    ps.corpus_entry(cfg.grid, cfg.nt, i, t_window=cfg.t_window,
+                                    seed=cfg.corpus["seed"]),
+                    cfg.p_list[0])]
+                for i in range(cfg.corpus["count"])]
+        with open(tmp_path / "sharp-bound.csv", newline="") as fh:
+            assert [row[4:] for row in list(csv.reader(fh))[1:]] == want
+
     @pytest.mark.parametrize("suite", ["sharp-bound", "lp-ratio"])
     def test_report_bytes_do_not_depend_on_threads(self, tmp_path, cli_config,
                                                    suite):

@@ -76,6 +76,14 @@ class TestPolyForm:
             ps.PolyFormSymbol(
                 m=1, coeffs={((1,), (1,)): 1.0, ((1, 0), (0, 1)): 1.0}, nu=0.5)
 
+    def test_three_dimensional_indices_are_refused(self):
+        with pytest.raises(ValueError, match="dimension 1 or 2"):
+            ps.PolyFormSymbol(
+                m=1,
+                coeffs={((1, 0, 0), (1, 0, 0)): 1.0, ((0, 1, 0), (0, 1, 0)): 1.0,
+                        ((0, 0, 1), (0, 0, 1)): 1.0},
+                nu=0.5)
+
     def test_index_weight_must_match_m(self):
         with pytest.raises(ValueError):
             ps.PolyFormSymbol(m=2, coeffs={((1,), (2,)): 1.0}, nu=0.5)
