@@ -60,6 +60,7 @@ from .symbols import (
     FractionalSymbol,
     LevySymbol,
     PolyFormSymbol,
+    _unit_circle,
     check_ellipticity,
 )
 
@@ -280,11 +281,7 @@ def _exponent_payload(ke):
 def _xi_samples(d, radii=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)):
     if d == 1:
         return np.array([[r] for r in radii] + [[-r] for r in radii])
-    out = []
-    for r in radii:
-        for th in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
-            out.append([r * np.cos(th), r * np.sin(th)])
-    return np.array(out)
+    return np.concatenate([r * _unit_circle(8) for r in radii])
 
 
 def _gamma_or_m(sym):

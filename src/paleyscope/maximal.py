@@ -32,7 +32,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 
 from .spectral import Field
-from .squarefn import DegenerateFieldError, square_function
+from .squarefn import DegenerateFieldError, _lp_nd, square_function
 
 __all__ = [
     "maximal_space",
@@ -345,7 +345,7 @@ def verify_sharp_bound(sym, eta, f, p, delta0=None):
     w = maximal_time(maximal_space(density)).values
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
-    return float(np.max(ratio)), _fs_ratio(h0, sharp, p, f.grid.h ** f.grid.d * f.dt)
+    return float(np.max(ratio)), _fs_ratio(h0, sharp, p, f.grid.h ** f.grid.d, f.dt)
 
 
 def fefferman_stein_check(h, p, delta0):
@@ -358,7 +358,7 @@ def fefferman_stein_check(h, p, delta0):
         raise ValueError("p must be finite and exceed 1")
     h0 = _mean_removed(h.values.astype(float))
     sharp = _sharp_core(h0, h.grid, h.dt, delta0)
-    return _fs_ratio(h0, sharp, p, h.grid.h ** h.grid.d * h.dt)
+    return _fs_ratio(h0, sharp, p, h.grid.h ** h.grid.d, h.dt)
 
 
 def _mean_removed(arr):
@@ -368,10 +368,9 @@ def _mean_removed(arr):
     return h0
 
 
-def _fs_ratio(h0, sharp, p, cell):
-    """||h0||_p / ||sharp||_p with ``cell`` the space-time cell volume."""
-    norm_h = float((np.sum(np.abs(h0) ** p) * cell) ** (1.0 / p))
-    norm_sharp = float((np.sum(sharp ** p) * cell) ** (1.0 / p))
+def _fs_ratio(h0, sharp, p, h_d, dt):
+    """||h0||_p / ||sharp||_p on cells of volume h^d = ``h_d`` by ``dt``."""
+    norm_sharp = _lp_nd(sharp, h_d, dt, p)
     if norm_sharp == 0.0:
         raise DegenerateFieldError("sharp function vanished identically")
-    return norm_h / norm_sharp
+    return _lp_nd(np.abs(h0), h_d, dt, p) / norm_sharp

@@ -37,7 +37,8 @@ support, where the Propagator holds fhat, e and W, since u_hat vanishes
 wherever every fhat^k does; a block goes back to the grid
 (``Propagator.to_grid``), zero off the support, only for the inverse
 transform (:func:`~paleyscope.spectral.to_space`, in place) that reads
-space values.
+space values: the paths' values, and the convolved slices whose values at
+one point give the isometry check its exact moment.
 """
 
 from __future__ import annotations
@@ -258,11 +259,15 @@ def ito_isometry_check(ensemble, x_index=None):
     the point, and that sum is G f(t_i*, x)^2 of
     :func:`~paleyscope.squarefn.square_function` at eta = 0.  So the value
     is a pure MC convergence measurement: |mean - exact| / exact, with the
-    standard error of the mean (also relative to exact) alongside.
+    standard error of the mean (also relative to exact) alongside.  The
+    slices come back to space in one inverse transform, in the buffer
+    ``Propagator.to_grid`` scatters them into.
     """
     x_index = _point(ensemble.grid, x_index)
     prop = ensemble.propagator
-    coeff = prop.to_point(_convolved_slices(prop), x_index)
+    conv = prop.to_grid(_convolved_slices(prop))
+    to_space(ensemble.grid, conv, out=conv)
+    coeff = conv[(slice(None), slice(None)) + x_index]
     exact = float(np.sum(np.abs(coeff) ** 2) * ensemble.spec.dt)
     if exact == 0.0:
         raise DegenerateFieldError("deterministic second moment is zero")

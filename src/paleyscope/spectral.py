@@ -10,7 +10,8 @@ even n the parity of the FFT bin equals the parity of the frequency index,
 so the offset phase is real +-1).  Frequency-side data are bare arrays:
 :func:`to_frequency` returns one, and :func:`to_space`, the one inverse
 transform, multiplies by the grid factor ``inverse_factor`` = phase / h^d
-before ``ifftn``.  With this normalization Parseval reads
+before ``ifftn``; no module builds its own DFT row or exponential sum.
+With this normalization Parseval reads
 
     h^d sum |f|^2 = L^-d sum |fhat|^2.
 
@@ -50,8 +51,9 @@ __all__ = [
 class SpaceGrid:
     """Uniform periodic grid on [-L/2, L/2)^d with n points per axis.
 
-    ``n`` must be a power of two (>= 8) so that dyadic coarsenings used by
-    the maximal-operator ladders stay on-grid.
+    ``n`` must be a power of two (>= 8).  Even n makes the offset phase a
+    real +-1, and a power of two ends the dyadic space-radius ladder of the
+    d = 2 maximal functions exactly at n/2, the widest ball on the torus.
     """
 
     d: int
@@ -348,23 +350,6 @@ class Propagator:
             out[...] = 0
         out.reshape(lead + (g.n ** g.d,))[..., self.support] = columns
         return out
-
-    def to_point(self, columns, x_index):
-        """The inverse transform at the grid point ``x_index`` of support columns.
-
-        ``columns`` holds values on the :attr:`support` modes in its last
-        axis (as :meth:`columns` lays them out), zero elsewhere.  They are
-        contracted with the inverse-transform row of that point on the
-        support, so the cost is one dot product of length m rather than a
-        full transform.
-        """
-        g = self.grid
-        k = np.arange(g.n)
-        row = 1.0
-        for x in x_index:
-            row = np.multiply.outer(row, np.exp(2j * np.pi * ((k * x) % g.n) / g.n))
-        row = row * (g.inverse_factor / g.n ** g.d)
-        return np.tensordot(columns, self.columns(row), axes=1)
 
 
 _HEADER = struct.Struct("<4sIIId")  # magic, d, n, K_H, L; padded to 32 bytes

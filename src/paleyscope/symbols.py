@@ -91,6 +91,12 @@ def _decay_integral(x, lengths):
     return np.sum(np.exp(-before) * (lengths * phi), axis=0)
 
 
+def _unit_circle(count):
+    """``count`` equispaced unit vectors at angles 2 pi q / count, shape (count, 2)."""
+    th = 2 * np.pi * np.arange(count) / count
+    return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+
 def _check_xi(xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0:
@@ -147,8 +153,9 @@ class _TimeSymbol:
         breaks, vals = self.piecewise_values(xi)
         w = _piece_overlaps(breaks, s, t)
         out = np.multiply.outer(w[0], vals[0])
+        buf = np.empty_like(out) if len(w) > 1 else None
         for wp, vp in zip(w[1:], vals[1:]):
-            out += np.multiply.outer(wp, vp)
+            out += np.multiply.outer(wp, vp, out=buf)
         return out
 
 
@@ -248,8 +255,7 @@ class PolyFormSymbol(_TimeSymbol):
     def _unit_vectors(self):
         if self.dim == 1:
             return np.array([[1.0], [-1.0]])
-        th = 2 * np.pi * np.arange(self._UNIT_SAMPLES) / self._UNIT_SAMPLES
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _unit_circle(self._UNIT_SAMPLES)
 
     def _check_form(self):
         u = self._unit_vectors()
@@ -329,8 +335,7 @@ class LevySymbol(_TimeSymbol):
             nq = table.shape[1]
             if nodes is not None and nodes != nq:
                 raise ValueError(f"nodes={nodes} but the density table has {nq} columns")
-            th = 2 * np.pi * np.arange(nq) / nq
-            self.nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
+            self.nodes = _unit_circle(nq)
             self.weights = np.full(nq, 2 * np.pi / nq)
         self.k = k
         self.gamma = float(gamma)

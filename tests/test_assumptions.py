@@ -1,5 +1,6 @@
 """Exponent algebra, envelopes, moment ladders, and the decay constant."""
 
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,47 @@ class TestAdmissibility:
             ps.mu_admissible(0, 1)
 
 
+def _free_mu_from_zero(d, upper):
+    """Reference scan of the admissibility blocks from q = 0 up to the window."""
+    lower, upper = Fraction(d + 2), Fraction(upper)
+    if upper <= lower:
+        return None
+    cap = d // 2 + 2
+    q = 0
+    while 4 * q < upper:
+        for block_lo, block_hi, need in ((4 * q, 4 * q + 2, 2 * q + 1),
+                                         (4 * q + 2, 4 * q + 4, 2 * q + 2)):
+            lo, hi = max(Fraction(block_lo), lower), min(Fraction(block_hi), upper)
+            if need <= cap and hi > lo:
+                return (lo + hi) / 2
+        q += 1
+    return None
+
+
+class TestFreeMu:
+    @pytest.mark.parametrize("gamma", [Fraction(1, 3), Fraction(1, 2), 1,
+                                       Fraction(3, 2), 2, 4, 10])
+    def test_matches_the_scan_from_zero(self, gamma):
+        from paleyscope.assumptions import _free_mu
+        for d in range(1, 60):
+            uppers = [gamma + d + 2, gamma + d + 4, 3 * gamma + d + 2, d + 6,
+                      d + 2, Fraction(4 * d + 1, 4)]
+            for upper in uppers:
+                assert _free_mu(d, upper) == _free_mu_from_zero(d, upper), (d, upper)
+
+    def test_huge_dimension_returns_at_once(self):
+        # the scan starts at the block holding d + 2, so d = 10^9 costs a
+        # few steps; scanning from q = 0 would take hours, so the call runs
+        # in a daemon thread and a slow scan fails rather than hangs
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(ps.theorem_exponents(2, 10 ** 9)), daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "theorem_exponents(2, 10**9) still runs after 5 s"
+        assert out[0].mu == (Fraction(10 ** 9 + 3),) * 3
+
+
 class TestTheoremExponents:
     def test_heat_line_instantiation(self):
         ke = ps.theorem_exponents(2, 1)
@@ -118,6 +160,23 @@ class TestTheoremExponents:
         assert not out.valid["row1"]
 
 
+def _envelopes_term_by_term(sym, gamma, grid, s, t):
+    """Reference (f1, f2, f3): one inverse transform per derivative term,
+    each |.| added in axis order."""
+    scale = (t - s) ** (-1.0 / gamma)
+    xi = grid.xi_grid()
+    base = ps.fractional_multiplier(grid, gamma / 2.0) * np.exp(
+        sym.time_integral(s, t, xi * scale))
+    mixed = (t - s) * sym.eval(t, xi * scale) * base
+    f1, f2, f3 = (np.zeros(grid.shape) for _ in range(3))
+    for i in range(grid.d):
+        f1 += np.abs(ps.to_space(grid, xi[..., i] * base))
+        for j in range(grid.d):
+            f2 += np.abs(ps.to_space(grid, xi[..., i] * xi[..., j] * base))
+        f3 += np.abs(ps.to_space(grid, xi[..., i] * mixed))
+    return f1, f2, f3
+
+
 class TestEnvelopes:
     def test_shapes_and_positivity(self, heat):
         grid = ps.SpaceGrid(d=1, n=256, L=20.0)
@@ -140,6 +199,38 @@ class TestEnvelopes:
         grid = ps.SpaceGrid(d=1, n=64, L=20.0)
         with pytest.raises(ValueError):
             ps.synthesize_envelopes(heat, 2.0, grid, 1.0, 0.5)
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (1, 128), (2, 32), (2, 64)])
+    @pytest.mark.parametrize("family", ["heat", "two-piece", "biharmonic"])
+    def test_one_stacked_transform_keeps_every_bit(self, heat, d, n, family):
+        sym = {"heat": heat,
+               "two-piece": ps.FractionalSymbol(
+                   1.5, a=([0.0, 0.4], [1.0 + 0.3j, 0.8 - 0.2j]), nu=0.5),
+               "biharmonic": ps.FractionalSymbol(
+                   4.0, a=([0.0, 0.5], [1.0, 1.5]), nu=0.5)}[family]
+        grid = ps.SpaceGrid(d=d, n=n, L=20.0)
+        env = ps.synthesize_envelopes(sym, sym.order, grid, 0.2, 0.9)
+        want = _envelopes_term_by_term(sym, sym.order, grid, 0.2, 0.9)
+        for got, ref in zip((env.f1, env.f2, env.f3), want):
+            np.testing.assert_array_equal(got.values, ref[None].astype(complex))
+
+    def test_envelopes_go_through_one_inverse_transform(self, heat, monkeypatch):
+        # the module's binding is wrapped: one call per envelope family,
+        # holding the d first, d^2 second and d mixed terms
+        from paleyscope import assumptions, spectral
+        assert assumptions.to_space is spectral.to_space
+        calls = []
+
+        def counted(grid, values, out=None):
+            calls.append(values.shape)
+            return spectral.to_space(grid, values, out=out)
+
+        monkeypatch.setattr(assumptions, "to_space", counted)
+        for d in (1, 2):
+            grid = ps.SpaceGrid(d=d, n=16, L=20.0)
+            ps.synthesize_envelopes(heat, 2.0, grid, 0.0, 1.0)
+            assert calls == [(2 * d + d * d,) + grid.shape]
+            calls.clear()
 
     def test_planar_second_derivatives_count_pairs(self, heat):
         grid = ps.SpaceGrid(d=2, n=32, L=20.0)

@@ -464,7 +464,7 @@ class TestSharedTablesAgainstTheOracles:
             range(f.nt), lambda v, ks: _oracle_window_means(v, ks, axis=0))
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(w > 0, sharp / np.sqrt(np.maximum(w, 0.0)), 0.0)
-        want = (float(np.max(ratio)), _fs_ratio(h0, sharp, 2.0, grid.h * f.dt))
+        want = (float(np.max(ratio)), _fs_ratio(h0, sharp, 2.0, grid.h, f.dt))
         assert ps.verify_sharp_bound(sym, eta, f, 2.0) == want
 
     def test_planar_sharp_function_transforms_the_pair_once(self, monkeypatch):

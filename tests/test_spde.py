@@ -371,6 +371,47 @@ class TestSecondMoment:
             exact = sq.std(ddof=1) / np.sqrt(16) / est.std_error
             assert exact == pytest.approx(G[x] ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("entry, out_of_band", [(0, False), (1, False), (1, True)])
+    def test_exact_moment_matches_the_point_row(self, heat, d, entry, out_of_band):
+        # the support columns on the grid, contracted with the inverse
+        # transform's row of each point: an independent route to c_jk(x)
+        g = ps.SpaceGrid(d=d, n=32 if d == 1 else 16, L=12.0)
+        f = ps.corpus_entry(g, 12, entry, t_window=0.77)
+        if out_of_band:
+            f = with_out_of_band_mode(
+                f, 7 if d == 1 else np.ravel_multi_index((6, 10), g.shape))
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=12)
+        ens = ps.simulate_ensemble(heat, f, spec, M=16)
+        prop = ens.propagator
+        conv = prop.to_grid(spde._convolved_slices(prop))
+        for x in [(g.n // 2,) * d, (3,) * d, (g.n - 1,) + (5,) * (d - 1)]:
+            coeff = np.tensordot(conv, _point_row(g, x), axes=d)
+            exact = np.sum(np.abs(coeff) ** 2) * spec.dt
+            sq = np.abs(ens.values[(slice(None),) + x]) ** 2
+            est = ps.ito_isometry_check(ens, x_index=x)
+            assert est.value == pytest.approx(abs(sq.mean() - exact) / exact,
+                                              rel=1e-12)
+            assert est.std_error == pytest.approx(
+                sq.std(ddof=1) / np.sqrt(16) / exact, rel=1e-12)
+
+    def test_exact_moment_takes_one_inverse_transform(self, heat, monkeypatch):
+        # the module's binding is wrapped after the ensemble is simulated
+        assert spde.to_space is spectral.to_space
+        g = ps.SpaceGrid(d=2, n=16, L=12.0)
+        f = ps.corpus_entry(g, 12, 1, t_window=0.77)
+        spec = ps.NoiseSpec(K=f.k_h, seed=5, dt=f.dt, nt=12)
+        ens = ps.simulate_ensemble(heat, f, spec, M=16)
+        calls = []
+
+        def counted(grid, values, out=None):
+            calls.append(values.shape)
+            return spectral.to_space(grid, values, out=out)
+
+        monkeypatch.setattr(spde, "to_space", counted)
+        ps.ito_isometry_check(ens, x_index=(3, 4))
+        assert calls == [(12, f.k_h) + g.shape]
+
     def test_zero_coefficients_rejected(self, grid, heat):
         vals = np.zeros((16, 1, 64), dtype=complex)
         f = ps.SpaceTimeField(grid=grid, t0=0.0, dt=0.05, values=vals)
@@ -534,8 +575,8 @@ def _full_grid_checks(sym, f, spec, M, p, eta):
     moment = [float(np.mean(norms)) / norm_f ** p,
               float(np.std(norms, ddof=1) / np.sqrt(M)) / norm_f ** p]
     x = (g.n // 2,) * g.d
-    coeff = np.tensordot(_full_grid_slices(ref, f.dt, f.nt - 1), _point_row(g, x),
-                         axes=g.d)
+    coeff = ps.to_space(g, _full_grid_slices(ref, f.dt, f.nt - 1))[
+        (slice(None), slice(None)) + x]
     exact = float(np.sum(np.abs(coeff) ** 2) * spec.dt)
     sq = np.abs(ens[(slice(None),) + x]) ** 2
     iso = [abs(float(np.mean(sq)) - exact) / exact,

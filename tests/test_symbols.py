@@ -64,6 +64,50 @@ class TestFractional:
         assert whole == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
+def _time_integral_piece_by_piece(sym, s, t, xi):
+    """Reference: one full temporary per extra time piece."""
+    from paleyscope.symbols import _piece_overlaps
+    breaks, vals = sym.piecewise_values(xi)
+    w = _piece_overlaps(breaks, s, np.asarray(t, dtype=float))
+    out = np.multiply.outer(w[0], vals[0])
+    for wp, vp in zip(w[1:], vals[1:]):
+        out += np.multiply.outer(wp, vp)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_integral_reuses_one_buffer_bit_for_bit(d):
+    sym = ps.FractionalSymbol(gamma=1.5, a=(
+        [0.0, 0.2, 0.45, 0.7], [1.0 + 0.2j, 0.8, 1.2 - 0.1j, 0.6 + 0.4j]), nu=0.5)
+    xi = ps.SpaceGrid(d=d, n=64 if d == 1 else 32, L=20.0).xi_grid()
+    for t in (0.9, -0.1 + 0.07 * np.arange(16)[3:]):
+        np.testing.assert_array_equal(sym.time_integral(-0.1, t, xi),
+                                      _time_integral_piece_by_piece(sym, -0.1, t, xi))
+    one = ps.FractionalSymbol(gamma=1.5, a=1.0 + 0.2j, nu=0.5)
+    np.testing.assert_array_equal(one.time_integral(0.0, 0.5, xi),
+                                  _time_integral_piece_by_piece(one, 0.0, 0.5, xi))
+
+
+def test_circle_directions_come_from_one_sampler():
+    # arange angles equal numpy's linspace(0, 2 pi, n, endpoint=False) bit
+    # for bit at the counts in use, so C0's samples keep their bytes
+    from paleyscope.cli import _xi_samples
+    from paleyscope.symbols import _unit_circle
+    for count in (8, 16, 32):
+        th = np.linspace(0.0, 2 * np.pi, count, endpoint=False)
+        np.testing.assert_array_equal(_unit_circle(count),
+                                      np.stack([np.cos(th), np.sin(th)], axis=-1))
+    th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+    want = [[r * np.cos(a), r * np.sin(a)] for r in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+            for a in th]
+    np.testing.assert_array_equal(_xi_samples(2), np.array(want))
+    poly = ps.PolyFormSymbol(m=1, coeffs={((1, 0), (1, 0)): 1.0,
+                                          ((0, 1), (0, 1)): 1.0}, nu=0.5)
+    np.testing.assert_array_equal(poly._unit_vectors(), _unit_circle(32))
+    levy = ps.LevySymbol(k=1, gamma=0.5, d=2, density=([0.0], [np.ones(12)]))
+    np.testing.assert_array_equal(levy.nodes, _unit_circle(12))
+
+
 class TestPolyForm:
     def test_quartic_eval(self):
         sym = ps.PolyFormSymbol(m=2, coeffs={((2,), (2,)): 1.0}, nu=0.5)
