@@ -31,6 +31,13 @@ TERMS = 2             # bumps per channel
 K_H_CYCLE = (1, 3)    # channel counts, cycled with the entry index
 
 
+def _check_key_word(name, value):
+    """Refuse ``value`` unless it is an integer in [0, 2**64): a uint64 word of
+    a Philox key, which would otherwise overflow or truncate silently."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must lie in [0, 2**64) and be an integer, got {value!r}")
+
+
 def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
     """Build corpus entry ``index`` on the given grid.
 
@@ -46,9 +53,8 @@ def corpus_entry(grid, nt, index, t_window=1.0, seed=DEFAULT_SEED):
     if grid.n <= 2 * JMAX:
         raise ValueError(f"the corpus band |j| <= {JMAX} needs grid.n > {2 * JMAX}, "
                          f"got {grid.n}")
-    for name, value in (("index", index), ("seed", seed)):
-        if not 0 <= value < 2 ** 64:   # a uint64 word of the Philox key
-            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    _check_key_word("index", index)
+    _check_key_word("seed", seed)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     k_h = K_H_CYCLE[index % len(K_H_CYCLE)]
     # the frequency lattice |j|_inf <= JMAX, zero excluded

@@ -11,9 +11,10 @@ The sharp function measures mean oscillation over parabolic cylinders
 (s - R, s + R) x B(y, R^delta0): for every ladder radius the oscillation is
 computed at every cylinder center via separable means, then each point takes
 the sup over all cylinders containing it (a morphological dilation, itself
-separable: a doubling max along time, then one pass over the space ball,
-shared by every cylinder of that ball since the dilation distributes over
-max).  The oscillation is the root mean square sqrt(E[g^2] - E[g]^2),
+separable: a window max along time, clipped to the data, then one pass
+over the space ball, shared by every cylinder of that ball since the
+dilation distributes over max, made of periodic window maxima along x).
+Both passes are one numpy doubling max.  The oscillation is the root mean square sqrt(E[g^2] - E[g]^2),
 computable from two mean tables; it dominates the paper's mean absolute
 deviation E|g - E[g]| on every cylinder, so the sharp function bounds the
 paper's.  Max is exact, so every reordering here keeps every bit.
@@ -26,10 +27,10 @@ both ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .spectral import Field
 from .squarefn import DegenerateFieldError, _lp_nd, square_function
@@ -258,25 +259,53 @@ def _cylinder_cells(grid, dt, R, delta0):
     return kt, ks
 
 
-def _time_dilate(arr, kt):
-    """Max of ``arr`` over the time window |s - t| <= kt, clipped to the data.
+def _window_max(arr, k, axis, wrap):
+    """Max of ``arr`` over the window |offset| <= k along ``axis``, periodic
+    (``wrap``) or clipped to the data.
 
-    A doubling (sparse-table) max over contiguous time slices of a copy
-    padded by -inf: after j doublings row i holds the max of the 2^j rows
-    from i, and two such spans cover each window.
+    A doubling (sparse-table) max over slices of a copy padded by k cells
+    of periodic copies or of -inf: after j doublings cell i holds the max
+    of the 2^j cells from i, and two such spans cover each window.
     """
-    nt = arr.shape[0]
-    kt = min(kt, nt - 1)
-    if kt == 0:
+    axis %= arr.ndim
+    n = arr.shape[axis]
+    k = min(k, n // 2 if wrap else n - 1)
+    if k == 0:
         return arr
-    width = 2 * kt + 1
-    span = np.full((nt + 2 * kt,) + arr.shape[1:], -np.inf)
-    span[kt:kt + nt] = arr
+    at = (slice(None),) * axis
+    if wrap:
+        span = np.take(arr, np.arange(-k, n + k) % n, axis=axis)
+    else:
+        span = np.full(arr.shape[:axis] + (n + 2 * k,) + arr.shape[axis + 1:], -np.inf)
+        span[at + (slice(k, k + n),)] = arr
+    width = 2 * k + 1
     reach = 1
     while 2 * reach <= width:
-        span = np.maximum(span[:-reach], span[reach:])
+        span = np.maximum(span[at + (slice(None, -reach),)], span[at + (slice(reach, None),)])
         reach *= 2
-    return np.maximum(span[:nt], span[width - reach:width - reach + nt])
+    return np.maximum(span[at + (slice(None, n),)],
+                      span[at + (slice(width - reach, width - reach + n),)])
+
+
+def maximum_filter(arr, ks, d):
+    """Max of ``arr`` over the periodic radius-ks ball of its last d axes
+    (the footprint of :func:`_ball_mask`): at d = 2 the max over row offsets
+    |dy| <= ks of x windows of half-width isqrt(ks^2 - dy^2), each width
+    built once on rows padded periodically once and read at +-dy as slices.
+    """
+    if d == 1:
+        return _window_max(arr, ks, -1, wrap=True)
+    ny = arr.shape[-2]
+    pad = np.take(arr, np.arange(-ks, ny + ks) % ny, axis=-2)
+    rows = _window_max(pad, ks, -1, wrap=True)
+    out = rows[..., ks:ks + ny, :].copy()
+    for dy in range(1, ks + 1):
+        width = math.isqrt(ks * ks - dy * dy)
+        if width < math.isqrt(ks * ks - (dy - 1) ** 2):
+            rows = _window_max(pad, width, -1, wrap=True)
+        for s in (ks - dy, ks + dy):
+            np.maximum(out, rows[..., s:s + ny, :], out=out)
+    return out
 
 
 def _sharp_core(arr, grid, dt, delta0):
@@ -287,10 +316,11 @@ def _sharp_core(arr, grid, dt, delta0):
     windows.  E[g] and E[g^2] ride one stacked array; each distinct space
     radius ks gets its ball means once, and one time table per ks serves
     every kt that shares it.  Each cylinder's oscillation is dilated along
-    time, the max over the kt of one ks then takes one pass over the ball.
+    time by :func:`_window_max`, the max over the kt of one ks then takes
+    one :func:`maximum_filter` pass over the ball.
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
+    if not 0 < delta0 < np.inf:
+        raise ValueError(f"delta0 must be positive and finite, got {delta0}")
     ladder = {}  # ks -> the time radii kt of its cylinders
     for R in _default_r_ladder(dt, arr.shape[0]):
         kt, ks = _cylinder_cells(grid, dt, R, delta0)
@@ -315,10 +345,9 @@ def _sharp_core(arr, grid, dt, delta0):
             np.subtract(e2, osc, out=osc)
             np.maximum(osc, 0.0, out=osc)
             np.sqrt(osc, out=osc)
-            np.maximum(reach, _time_dilate(osc, kt), out=reach)
+            np.maximum(reach, _window_max(osc, kt, 0, wrap=False), out=reach)
         # the ball dilation distributes over max: one pass serves every kt
-        ball = (maximum_filter(reach, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
-                if ks else reach)
+        ball = maximum_filter(reach, ks, grid.d) if ks else reach
         np.maximum(out, ball, out=out)
     return out
 

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import _check_key_word
 from .spectral import Propagator, _carry, _chunk_steps, fractional_multiplier, to_space
 from .squarefn import DegenerateFieldError, _norms, lp_space_time_norm
 
@@ -73,6 +74,7 @@ class NoiseSpec:
     nt: int
 
     def __post_init__(self):
+        _check_key_word("seed", self.seed)
         if self.K < 1:
             raise ValueError("K must be at least 1")
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -133,6 +135,7 @@ def sample_brownian_increments(spec, path, out=None):
     With ``out``, a C-contiguous float array of shape (K, nt), the table is
     drawn into it and ``out`` is returned.
     """
+    _check_key_word("path", path)
     shape = (spec.K, spec.nt)
     if out is None:
         out = np.empty(shape)

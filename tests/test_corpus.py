@@ -86,6 +86,15 @@ def test_index_or_seed_outside_a_key_word_is_refused(grid, value):
         ps.corpus_entry(grid, 16, 0, seed=value)
 
 
+@pytest.mark.parametrize("value", [1.5, True])
+def test_index_or_seed_that_is_no_integer_is_refused(grid, value):
+    # the uint64 key would truncate 1.5 to the entry of 1 without a word
+    with pytest.raises(ValueError, match=r"index must lie in \[0, 2\*\*64\) and be an integer"):
+        ps.corpus_entry(grid, 16, value)
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\) and be an integer"):
+        ps.corpus_entry(grid, 16, 0, seed=value)
+
+
 def _exponential_sum_entry(grid, nt, index, seed):
     """The entry's values by direct exponential sums on the grid, and its
     lattice modes: the reference the one-transform synthesis reproduces."""

@@ -16,7 +16,7 @@ from paleyscope.maximal import (
     _mean_removed,
     _sharp_core,
     _space_radius_ladder,
-    _time_dilate,
+    _window_max,
     _window_means,
     _wrap_ball_means_nd,
 )
@@ -34,7 +34,7 @@ def _sharp(g, delta0):
 def _dilate(arr, grid, kt, ks):
     """Pointwise sup over the cylinders around each point, as _sharp_core
     dilates: the time pass, then one pass over the periodic ball."""
-    arr = _time_dilate(arr, kt)
+    arr = _window_max(arr, kt, 0, wrap=False)
     return (maximum_filter(arr, footprint=_ball_mask(grid.d, ks)[None], mode="wrap")
             if ks else arr)
 
@@ -408,8 +408,17 @@ class TestSharedTablesAgainstTheOracles:
         for kt in (0, 1, nt - 1, nt, 3 * nt):
             want = maximum_filter(arr, size=(2 * kt + 1,) + (1,) * d,
                                   mode="constant", cval=-np.inf)
-            np.testing.assert_array_equal(_time_dilate(arr, kt), want,
+            np.testing.assert_array_equal(_window_max(arr, kt, 0, wrap=False), want,
                                           err_msg=f"kt = {kt}")
+
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 16), (2, 12)])
+    def test_ball_pass_matches_maximum_filter(self, d, n):
+        # radii past n/2 cover the circle; past n they wrap onto themselves
+        arr = _signed_data(d, n, 3, 41)
+        for ks in sorted({0, 1, 2, 3, n // 4, n // 2 - 1, n // 2, n // 2 + 1, n}):
+            want = maximum_filter(arr, footprint=_ball_mask(d, ks)[None], mode="wrap")
+            np.testing.assert_array_equal(maximal.maximum_filter(arr, ks, d), want,
+                                          err_msg=f"ks = {ks}")
 
     @pytest.mark.parametrize("block", [1, 3, 16, 1000])
     @pytest.mark.parametrize("axis,wrap", [(0, False), (-1, True), (-1, False)])
@@ -508,6 +517,16 @@ class TestSupRatio:
         a = ps.verify_sharp_bound(levy, 0.25, f, 2.0)
         b = ps.verify_sharp_bound(levy, 0.25, f, 2.0, delta0=1.0 / levy.order)
         assert a == b
+
+    @pytest.mark.parametrize("delta0", [np.nan, np.inf])
+    def test_non_finite_delta0_is_refused(self, heat, delta0):
+        # at t_window 8 the cylinder radii pass 1, where R^inf overflows
+        grid = ps.SpaceGrid(d=1, n=32, L=20.0)
+        f = ps.corpus_entry(grid, 16, 0, t_window=8.0)
+        with pytest.raises(ValueError, match="delta0"):
+            ps.verify_sharp_bound(heat, 1.0, f, 2.0, delta0=delta0)
+        with pytest.raises(ValueError, match="delta0"):
+            ps.fefferman_stein_check(ps.square_function(heat, 1.0, f), 2.0, delta0)
 
 
 class TestOscillationNormRatio:

@@ -163,6 +163,19 @@ class TestNoise:
         with pytest.raises(ValueError):
             ps.NoiseSpec(K=1, seed=1, dt=0.1, nt=1)
 
+    @pytest.mark.parametrize("word", [-1, 2 ** 64, 1.5, True, "3"])
+    def test_key_words_outside_uint64_are_refused(self, spec, word):
+        # each would overflow the Philox key or be read as another word
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\) and be an integer"):
+            ps.NoiseSpec(K=1, seed=word, dt=0.1, nt=8)
+        with pytest.raises(ValueError, match=r"path must lie in \[0, 2\*\*64\) and be an integer"):
+            ps.sample_brownian_increments(spec, word)
+
+    def test_numpy_integer_key_words_draw_as_ints(self):
+        wide = ps.NoiseSpec(K=1, seed=np.uint64(2 ** 64 - 1), dt=0.1, nt=8)
+        np.testing.assert_array_equal(ps.sample_brownian_increments(wide, np.int64(3)),
+                                      _fresh_increments(wide, 3))
+
 
 def _advance_loop(step, drive, dw):
     """u_hat(t_i), i = 1 .. nt - 1, one step at a time, each with its own
